@@ -246,9 +246,16 @@ impl StShard {
                 }
             }
         };
+        // Ties go to the oldest entry, so the victim never depends on
+        // `HashMap` iteration order.
         self.entries
             .iter()
-            .min_by(|(_, a), (_, b)| score(a).partial_cmp(&score(b)).expect("no NaN"))
+            .min_by(|(_, a), (_, b)| {
+                score(a)
+                    .partial_cmp(&score(b))
+                    .expect("no NaN")
+                    .then(a.insert_seq.cmp(&b.insert_seq))
+            })
             .map(|(&id, _)| id)
     }
 }
@@ -783,6 +790,21 @@ mod tests {
         c.put(4, payload(100, 4), 60.0); // evicts 2
         assert!(c.contains(1));
         assert!(!c.contains(2));
+    }
+
+    #[test]
+    fn cost_aware_ties_evict_the_oldest_entry() {
+        let c = cache(800, EvictionPolicy::CostAware);
+        // Equal size, refetch cost and access count: every score ties.
+        let ids = [57u64, 3, 91, 12, 40, 77, 8, 64];
+        for &id in &ids {
+            c.put(id, payload(100, id as u8), 5.0);
+        }
+        for (n, &evicted) in ids.iter().enumerate().take(3) {
+            c.put(1000 + n as u64, payload(100, 0), 5.0);
+            assert!(!c.contains(evicted), "insert #{n} must evict {evicted}");
+            assert!(ids[n + 1..].iter().all(|&id| c.contains(id)));
+        }
     }
 
     #[test]

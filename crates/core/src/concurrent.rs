@@ -17,10 +17,12 @@
 //! * **Cross-session tape batching** — the tape library stays the serial
 //!   shared resource. Instead of each session mounting media on its own
 //!   ([`HeavenConfig::cross_session_batching`] = false: per-session FIFO
-//!   staging), sessions enqueue their [`FetchRequest`]s with the
-//!   [`FetchBatcher`]; one session becomes the *drainer*, waits a short
-//!   batching window for peers to pile on (a condvar handoff — each new
-//!   arrival re-arms a quiet period, so the window closes as soon as
+//!   staging), a session enqueues its query's whole super-tile miss set
+//!   ([`FetchRequest`]s) with the [`FetchBatcher`] in one call and waits
+//!   once, so a query costs at most one batching window however many
+//!   super-tiles it misses. One waiting session becomes the *drainer*,
+//!   waits that window for peers to pile on (a condvar handoff — each
+//!   new arrival re-arms a quiet period, so the window closes as soon as
 //!   enqueueing goes idle), then stages the merged batch in one
 //!   scheduled sweep (mounted-media first, ascending offsets,
 //!   drive-parallel rounds). Duplicate super-tile requests **coalesce**:
@@ -180,12 +182,15 @@ struct Served {
     batch_span: u64,
 }
 
+/// How one batched fetch ended, as every coalesced waiter sees it.
+type Outcome = std::result::Result<Served, FetchFailure>;
+
 /// One in-flight tertiary fetch; every session waiting on the same
 /// super-tile holds the same `Arc<Inflight>` and reads the same outcome.
 /// `done` is signalled exactly once, when the slot is filled.
 #[derive(Debug, Default)]
 struct Inflight {
-    slot: Mutex<Option<std::result::Result<Served, FetchFailure>>>,
+    slot: Mutex<Option<Outcome>>,
     done: Condvar,
 }
 
@@ -229,35 +234,40 @@ impl FetchBatcher {
         }
     }
 
-    /// Fetch a super-tile through the shared batch: returns the shared
-    /// [`Served`] outcome plus whether this waiter coalesced onto an
-    /// already-queued request (vs. registering it).
-    fn fetch(&self, h: &ConcurrentHeaven, mut p: PendingFetch) -> Result<(Served, bool)> {
-        let (entry, coalesced) = {
+    /// Fetch a session's whole miss set through the shared batch. Each
+    /// request registers (or coalesces onto) one inflight entry, the
+    /// session counts as one arrival, and it waits until **every** entry
+    /// is resolved — one batching window per query, not per super-tile.
+    /// Returns one outcome per request, in request order, each paired
+    /// with whether it coalesced onto an already-queued request.
+    fn fetch(&self, h: &ConcurrentHeaven, reqs: Vec<PendingFetch>) -> Vec<(Outcome, bool)> {
+        let entries: Vec<(Arc<Inflight>, bool)> = {
             let mut map = self.inflight.lock();
-            match map.get(&p.req.st) {
-                Some(e) => {
-                    h.metrics.coalesced_fetches.inc();
-                    (Arc::clone(e), true)
-                }
-                None => {
-                    let e = Arc::new(Inflight::default());
-                    map.insert(p.req.st, Arc::clone(&e));
-                    p.enqueue_s = h.clock.now_s();
-                    let mut q = self.queue.lock();
-                    q.pending.push(p);
-                    q.arrivals += 1;
-                    self.arrived.notify_all();
-                    (e, false)
-                }
+            let mut q = self.queue.lock();
+            let (queued, enqueue_s) = (q.pending.len(), h.clock.now_s());
+            let entries = reqs
+                .into_iter()
+                .map(|mut p| match map.get(&p.req.st) {
+                    Some(e) => {
+                        h.metrics.coalesced_fetches.inc();
+                        (Arc::clone(e), true)
+                    }
+                    None => {
+                        let e = Arc::new(Inflight::default());
+                        map.insert(p.req.st, Arc::clone(&e));
+                        p.enqueue_s = enqueue_s;
+                        q.pending.push(p);
+                        (e, false)
+                    }
+                })
+                .collect();
+            if q.pending.len() > queued {
+                q.arrivals += 1;
+                self.arrived.notify_all();
             }
+            entries
         };
-        loop {
-            if let Some(outcome) = entry.slot.lock().clone() {
-                return outcome
-                    .map(|served| (served, coalesced))
-                    .map_err(FetchFailure::into_error);
-            }
+        while let Some((entry, _)) = entries.iter().find(|(e, _)| e.slot.lock().is_none()) {
             match self.drain.try_lock() {
                 Some(_drainer) => {
                     self.wait_window();
@@ -283,6 +293,10 @@ impl FetchBatcher {
                 }
             }
         }
+        entries
+            .into_iter()
+            .map(|(e, coalesced)| (e.slot.lock().clone().expect("resolved"), coalesced))
+            .collect()
     }
 
     /// Wait out the batching window on the arrival condvar: each new
@@ -541,7 +555,7 @@ impl FetchBatcher {
         self.queue.lock().pending.push(p);
     }
 
-    fn resolve(&self, st: SuperTileId, outcome: std::result::Result<Served, FetchFailure>) {
+    fn resolve(&self, st: SuperTileId, outcome: Outcome) {
         let entry = self.inflight.lock().remove(&st);
         if let Some(e) = entry {
             let mut slot = e.slot.lock();
@@ -787,8 +801,9 @@ impl Session<'_> {
                 }
             }
         }
-        for (st, tids) in pending {
-            let payload = self.supertile_payload(st)?;
+        let sts: Vec<SuperTileId> = pending.keys().copied().collect();
+        let payloads = self.supertile_payloads(&sts)?;
+        for ((st, tids), payload) in pending.into_iter().zip(payloads) {
             let meta_st = self.h.catalog.read().meta(st)?.clone();
             for tid in tids {
                 let t = decode_member(&meta_st, &payload, tid)?;
@@ -800,101 +815,116 @@ impl Session<'_> {
         Ok(out)
     }
 
-    /// Stage a super-tile payload: striped-cache hit (charged to this
-    /// session's lane), else a tertiary fetch — batched across sessions,
-    /// or per-session FIFO when batching is off. Either path runs the
-    /// full recovery ladder (retry, failover, dual-copy) under faults.
+    /// Stage the payloads of one query's super-tiles `sts`, in order:
+    /// striped-cache hits are charged to this session's lane, and the
+    /// misses go to tertiary storage — all of them as **one** cross-session
+    /// batch request, or one by one over per-session FIFO when batching is
+    /// off. Either path runs the full recovery ladder (retry, failover,
+    /// dual-copy) under faults; on the batched path a failed super-tile
+    /// fails the query only once every one of its fetches has resolved.
     ///
-    /// Tertiary fetches run inside a `heaven.st_fetch` span. On the
-    /// batched path the span **links** to the shared `sched.batch` span
-    /// that staged the payload (the cross-session causal edge) and emits
-    /// a `sched.served` event carrying the queue/service decomposition,
-    /// so `heaven-prof critical-path` can attribute this session's wait
-    /// to the shared fetch.
-    fn supertile_payload(&self, st: SuperTileId) -> Result<Bytes> {
-        if let Some(p) = self.h.st_cache.get_clocked(st, &self.lane) {
-            return Ok(p);
-        }
-        let (addr, replica, checksum) = {
+    /// Each tertiary fetch gets a `heaven.st_fetch` span. On the batched
+    /// path the span **links** to the shared `sched.batch` span that
+    /// staged the payload (the cross-session causal edge) and emits a
+    /// `sched.served` event carrying the queue/service decomposition, so
+    /// `heaven-prof critical-path` can attribute this session's wait to
+    /// the shared fetch. The lane ends at the latest completion.
+    fn supertile_payloads(&self, sts: &[SuperTileId]) -> Result<Vec<Bytes>> {
+        let mut out: Vec<Option<Bytes>> = sts
+            .iter()
+            .map(|&st| self.h.st_cache.get_clocked(st, &self.lane))
+            .collect();
+        let mut misses = Vec::new();
+        for (i, &st) in sts.iter().enumerate().filter(|&(i, _)| out[i].is_none()) {
             let cat = self.h.catalog.read();
-            (cat.address(st)?, cat.replica(st), cat.checksum(st))
-        };
+            let p = PendingFetch {
+                req: FetchRequest {
+                    st,
+                    addr: cat.address(st)?,
+                },
+                attempt: 0,
+                on_replica: false,
+                replica: cat.replica(st),
+                checksum: cat.checksum(st),
+                enqueue_s: 0.0, // stamped at registration, under the lock
+                drains: 0,
+                stalled: false,
+            };
+            misses.push((i, p));
+        }
         let batched = self.h.config.cross_session_batching;
-        let span = self.h.bus.span_start(
-            "heaven.st_fetch",
-            self.lane.now_s(),
-            &[("st", st.into()), ("batched", (batched as u64).into())],
-        );
-        let res = if batched {
-            self.batched_payload(st, addr, replica, checksum, span)
-        } else {
-            self.fifo_payload(st, addr, replica, checksum)
+        let open_span = |st: SuperTileId| {
+            self.h.bus.span_start(
+                "heaven.st_fetch",
+                self.lane.now_s(),
+                &[("st", st.into()), ("batched", (batched as u64).into())],
+            )
         };
-        self.h.bus.span_end(span, self.lane.now_s());
-        res
-    }
-
-    /// The cross-session batched tertiary path (see `supertile_payload`).
-    fn batched_payload(
-        &self,
-        st: SuperTileId,
-        addr: BlockAddress,
-        replica: Option<BlockAddress>,
-        checksum: Option<u64>,
-        span: u64,
-    ) -> Result<Bytes> {
-        let p = PendingFetch {
-            req: FetchRequest { st, addr },
-            attempt: 0,
-            on_replica: false,
-            replica,
-            checksum,
-            enqueue_s: 0.0, // stamped at registration, under the lock
-            drains: 0,
-            stalled: false,
-        };
-        let (served, coalesced) = self.h.batcher.fetch(self.h, p)?;
-        self.h.bus.link(
-            "sched.link",
-            served.done_s,
-            span,
-            served.batch_span,
-            &[("st", st.into()), ("coalesced", (coalesced as u64).into())],
-        );
-        self.h.bus.event(
-            "sched.served",
-            served.done_s,
-            &[
-                ("st", st.into()),
-                ("queue_s", served.queue_s.into()),
-                ("service_s", served.service_s.into()),
-                ("batch", served.batch_span.into()),
-                ("coalesced", (coalesced as u64).into()),
-            ],
-        );
-        self.lane.advance_to_s(served.done_s);
-        Ok(served.payload)
+        if !batched {
+            for (i, p) in misses {
+                let span = open_span(p.req.st);
+                let res = self.fifo_payload(p);
+                self.h.bus.span_end(span, self.lane.now_s());
+                out[i] = Some(res?);
+            }
+        } else if !misses.is_empty() {
+            let (slots, reqs): (Vec<usize>, Vec<PendingFetch>) = misses.into_iter().unzip();
+            let mut failed = None;
+            for (i, (outcome, coalesced)) in
+                slots.into_iter().zip(self.h.batcher.fetch(self.h, reqs))
+            {
+                let st = sts[i];
+                let span = open_span(st);
+                match outcome {
+                    Ok(served) => {
+                        self.h.bus.link(
+                            "sched.link",
+                            served.done_s,
+                            span,
+                            served.batch_span,
+                            &[("st", st.into()), ("coalesced", (coalesced as u64).into())],
+                        );
+                        self.h.bus.event(
+                            "sched.served",
+                            served.done_s,
+                            &[
+                                ("st", st.into()),
+                                ("queue_s", served.queue_s.into()),
+                                ("service_s", served.service_s.into()),
+                                ("batch", served.batch_span.into()),
+                                ("coalesced", (coalesced as u64).into()),
+                            ],
+                        );
+                        self.lane.advance_to_s(served.done_s);
+                        out[i] = Some(served.payload);
+                    }
+                    Err(f) => {
+                        failed.get_or_insert(f);
+                    }
+                }
+                self.h.bus.span_end(span, self.lane.now_s());
+            }
+            if let Some(f) = failed {
+                return Err(f.into_error());
+            }
+        }
+        Ok(out.into_iter().map(|p| p.expect("staged")).collect())
     }
 
     /// The per-session FIFO tertiary path: mount-and-read in request
     /// order, holding the store for the whole access (the baseline the
     /// batcher is measured against). Queue time is zero by construction;
     /// the whole access is service time.
-    fn fifo_payload(
-        &self,
-        st: SuperTileId,
-        addr: BlockAddress,
-        replica: Option<BlockAddress>,
-        checksum: Option<u64>,
-    ) -> Result<Bytes> {
+    fn fifo_payload(&self, p: PendingFetch) -> Result<Bytes> {
+        let FetchRequest { st, addr } = p.req;
         let mut store = self.h.store.lock();
         let t0 = store.clock().now_s();
         let raw = read_with_recovery(
             &mut store,
             st,
             addr,
-            replica,
-            checksum,
+            p.replica,
+            p.checksum,
             &self.h.config.retry,
             &self.h.recovery,
             &self.h.bus,

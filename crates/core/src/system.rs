@@ -928,7 +928,7 @@ impl Heaven {
             let t0 = self.store.clock().now_s();
             let replica = self.catalog.replica(r.st);
             let checksum = self.catalog.checksum(r.st);
-            let payload = read_with_recovery(
+            let raw = read_with_recovery(
                 &mut self.store,
                 r.st,
                 r.addr,
@@ -944,6 +944,7 @@ impl Heaven {
             self.metrics
                 .st_fetch_hist
                 .observe(self.store.clock().now_s() - t0);
+            let payload = self.maybe_decompress(raw, self.catalog.meta(r.st)?.total_len)?;
             let refetch = self.store.estimate_read_s(r.addr);
             self.st_cache.put(r.st, payload, refetch);
         }
@@ -993,7 +994,8 @@ impl Heaven {
                 &self.config.retry,
                 &self.recovery,
                 &self.bus,
-            ) else {
+            )
+            .and_then(|raw| self.maybe_decompress(raw, self.catalog.meta(st)?.total_len)) else {
                 continue;
             };
             self.metrics.st_tape_fetches.inc();

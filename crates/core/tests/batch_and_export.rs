@@ -2,7 +2,9 @@
 
 use heaven_array::{CellType, MDArray, Minterval, Point, Tiling};
 use heaven_arraydb::ArrayDb;
-use heaven_core::{AccessPattern, ClusteringStrategy, ExportMode, Heaven, HeavenConfig};
+use heaven_core::{
+    AccessPattern, ClusteringStrategy, ExportMode, Heaven, HeavenConfig, PrefetchPolicy,
+};
 use heaven_rdbms::Database;
 use heaven_tape::{DeviceProfile, DiskProfile, SimClock, TapeLibrary};
 
@@ -354,6 +356,62 @@ fn compressed_export_roundtrips_and_shrinks_tape_traffic() {
         comp.stats().st_tape_bytes,
         plain.stats().st_tape_bytes
     );
+}
+
+/// A compressed archive of one 64x64 u8 object (runs of equal cells, 16
+/// tiles, several tiles per super-tile) plus an unexported `ArrayDb`
+/// holding the same cells as ground truth.
+fn compressed_with_truth(prefetch: PrefetchPolicy) -> (Heaven, ArrayDb, u64) {
+    let value = |p: &Point| ((p.coord(0) / 8) * 10 + p.coord(1) / 32) as f64;
+    let arr = MDArray::generate(mi(&[(0, 63), (0, 63)]), CellType::U8, value);
+    let tiling = Tiling::Regular {
+        tile_shape: vec![16, 16],
+    };
+    let clock = SimClock::new();
+    let mut adbs = [0, 1].map(|_| {
+        let db = Database::new(DiskProfile::scsi2003(), clock.clone(), 4096);
+        let mut adb = ArrayDb::create(db).unwrap();
+        adb.create_collection("m", CellType::U8, 2).unwrap();
+        adb
+    });
+    let oid = adbs[0].insert_object("m", &arr, tiling.clone()).unwrap();
+    assert_eq!(adbs[1].insert_object("m", &arr, tiling).unwrap(), oid);
+    let [adb, truth] = adbs;
+    let lib = TapeLibrary::new(DeviceProfile::ibm3590(), 1, clock);
+    let config = HeavenConfig {
+        supertile_bytes: Some(2048),
+        compress: true,
+        prefetch,
+        ..HeavenConfig::default()
+    };
+    let mut heaven = Heaven::new(adb, lib, config);
+    heaven.export_object(oid, ExportMode::Tct).unwrap();
+    heaven.clear_caches();
+    (heaven, truth, oid)
+}
+
+#[test]
+fn compressed_batch_returns_ground_truth_cells() {
+    let (mut heaven, mut truth, oid) = compressed_with_truth(PrefetchPolicy::None);
+    let batch = vec![
+        (oid, mi(&[(0, 40), (5, 63)])),
+        (oid, mi(&[(30, 63), (0, 20)])),
+    ];
+    let results = heaven.fetch_batch(&batch).unwrap();
+    for ((oid, region), got) in batch.iter().zip(&results) {
+        assert_eq!(*got, truth.read_subarray(*oid, region).unwrap(), "{region}");
+    }
+}
+
+#[test]
+fn compressed_prefetch_returns_ground_truth_cells() {
+    let (mut heaven, mut truth, oid) = compressed_with_truth(PrefetchPolicy::NextInOrder(2));
+    // The first query prefetches its successors; the next ones read them.
+    for region in [mi(&[(0, 15), (0, 15)]), mi(&[(0, 63), (0, 63)])] {
+        let got = heaven.fetch_region_hierarchical(oid, &region).unwrap();
+        assert_eq!(got, truth.read_subarray(oid, &region).unwrap(), "{region}");
+    }
+    assert!(heaven.metrics().counter("heaven.prefetches").get() > 0);
 }
 
 #[test]

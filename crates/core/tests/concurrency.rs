@@ -1,9 +1,10 @@
 //! Multi-session concurrency: sharded-cache integrity under parallel
 //! load, single-session determinism against the single-owner system,
 //! cross-session request coalescing, batched staging beating per-session
-//! FIFO on media exchanges, and seeded-chaos determinism (same seed →
-//! byte-identical answers and identical fault/recovery counters, single-
-//! session and 8-thread concurrent).
+//! FIFO on media exchanges, a query's whole super-tile miss set staging
+//! as one batch, and seeded-chaos determinism (same seed → byte-identical
+//! answers and identical fault/recovery counters, single-session and
+//! 8-thread concurrent).
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -11,8 +12,8 @@ use std::time::Duration;
 use heaven_array::{CellType, MDArray, Minterval, Point, Tile, Tiling};
 use heaven_arraydb::ArrayDb;
 use heaven_core::{
-    ConcurrentHeaven, EvictionPolicy, ExportMode, Heaven, HeavenConfig, Session, SuperTileCache,
-    TileCache,
+    ConcurrentHeaven, EvictionPolicy, ExportMode, Heaven, HeavenConfig, HeavenError, Session,
+    SuperTileCache, TileCache,
 };
 use heaven_rdbms::Database;
 use heaven_tape::{DeviceProfile, DiskProfile, FaultConfig, SimClock, TapeLibrary};
@@ -32,6 +33,15 @@ fn tile_region(t: i64) -> Minterval {
     mi(&[
         (gx * TILE_EDGE, (gx + 1) * TILE_EDGE - 1),
         (gy * TILE_EDGE, (gy + 1) * TILE_EDGE - 1),
+    ])
+}
+
+/// The bounding box of tiles `first..=last` (indices as in [`tile_region`]).
+fn tiles_region(first: i64, last: i64) -> Minterval {
+    let (fx, fy, lx, ly) = (first % GRID, first / GRID, last % GRID, last / GRID);
+    mi(&[
+        (fx * TILE_EDGE, (lx + 1) * TILE_EDGE - 1),
+        (fy * TILE_EDGE, (ly + 1) * TILE_EDGE - 1),
     ])
 }
 
@@ -514,5 +524,196 @@ fn batcher_requeues_survive_drive_failures() {
     assert_eq!(
         by_name["hsm.media_lost"], 0,
         "retries + replica must recover all"
+    );
+}
+
+// ------------------------------------------------- whole-query batching
+
+/// Run one query per region, each on its own session, released together
+/// by a barrier; returns the per-region results in region order.
+fn race_sessions(
+    h: &ConcurrentHeaven,
+    oid: u64,
+    regions: &[Minterval],
+) -> Vec<heaven_core::Result<MDArray>> {
+    let barrier = Barrier::new(regions.len());
+    std::thread::scope(|s| {
+        let handles: Vec<_> = regions
+            .iter()
+            .map(|region| {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    let session = h.session();
+                    barrier.wait();
+                    session.fetch_region(oid, region)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|j| j.join().unwrap()).collect()
+    })
+}
+
+#[test]
+fn cold_multi_supertile_query_stages_as_one_batch() {
+    let (mut owner, oids) = build_multi(1, 2, true);
+    let (concurrent, _) = build_multi(1, 2, true);
+    let concurrent = concurrent.into_concurrent();
+    let region = tiles_region(0, GRID - 1); // one row: GRID super-tiles
+    let batches_before = concurrent.metrics().counter("sched.batches").get();
+    let got = concurrent.session().fetch_region(oids[0], &region).unwrap();
+    let m = concurrent.metrics();
+    assert_eq!(
+        m.counter("sched.batches").get() - batches_before,
+        1,
+        "a query's whole miss set stages in one batch"
+    );
+    assert_eq!(m.counter("heaven.st_tape_fetches").get(), GRID as u64);
+    let expected = owner.fetch_region_hierarchical(oids[0], &region).unwrap();
+    assert_eq!(got, expected);
+    assert_eq!(
+        owner.tape_stats().bytes_read,
+        concurrent.tape_stats().bytes_read
+    );
+}
+
+#[test]
+fn overlapping_miss_sets_coalesce_on_the_shared_supertile() {
+    let (mut truth, oids) = build_multi(1, 2, true);
+    // Both queries need tile 1's super-tile.
+    let regions = [tiles_region(0, 1), tiles_region(1, 2)];
+    let expected: Vec<MDArray> = regions
+        .iter()
+        .map(|r| truth.fetch_region_hierarchical(oids[0], r).unwrap())
+        .collect();
+    // Coalescing needs the second session to register while the first
+    // one's fetch is in flight, a host-time race: give it a few fresh
+    // systems. Every attempt must be correct.
+    let mut coalesced = 0;
+    for _ in 0..5 {
+        let (h, _) = build_multi(1, 2, true);
+        let mut h = h.into_concurrent();
+        h.set_batch_window(Duration::from_millis(50));
+        let h = h;
+        let got: Vec<MDArray> = race_sessions(&h, oids[0], &regions)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(got, expected);
+        assert_eq!(
+            h.metrics().counter("heaven.st_tape_fetches").get(),
+            3,
+            "the shared super-tile is fetched once"
+        );
+        coalesced = h.metrics().counter("sched.coalesced_fetches").get();
+        if coalesced >= 1 {
+            break;
+        }
+    }
+    assert!(coalesced >= 1, "overlapping miss sets must coalesce");
+}
+
+#[test]
+fn chaos_multi_supertile_queries_recover_clean_bytes() {
+    // 4 sessions, each reading two whole rows (2 x GRID super-tiles per
+    // query) of one object: together every super-tile exactly once.
+    let workers = 4usize;
+    let run = |plan: Option<FaultConfig>| -> (Vec<MDArray>, Vec<u64>) {
+        let (h, oids) = build_dual(2, 2, true, true);
+        let mut h = h.into_concurrent();
+        h.set_batch_window(Duration::from_millis(25));
+        h.set_fault_plan(plan);
+        let h = h;
+        let barrier = Barrier::new(workers);
+        let results = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let (h, oids, barrier) = (&h, &oids, &barrier);
+                    s.spawn(move || {
+                        let session = h.session();
+                        barrier.wait();
+                        let first = (w as i64 / 2) * 2 * GRID;
+                        session
+                            .fetch_region(oids[w % 2], &tiles_region(first, first + 2 * GRID - 1))
+                            .unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|j| j.join().unwrap()).collect()
+        });
+        (results, chaos_counters(h.metrics()))
+    };
+    // The same accesses as `chaos_same_seed_is_deterministic_concurrent`,
+    // so the same seed never corrupts both copies of a super-tile.
+    let seed = 3u64;
+    let (clean, _) = run(None);
+    let (a, a_ctr) = run(Some(FaultConfig::chaos(seed)));
+    let (b, b_ctr) = run(Some(FaultConfig::chaos(seed)));
+    assert_eq!(a, clean, "recovery must reproduce the fault-free bytes");
+    assert_eq!(a, b, "same seed must give byte-identical answers");
+    assert_eq!(a_ctr, b_ctr, "same seed must give identical fault counters");
+    let by_name: std::collections::HashMap<&str, u64> =
+        CHAOS_COUNTERS.iter().copied().zip(a_ctr).collect();
+    assert!(
+        by_name["tape.media_read_errors"] + by_name["tape.corrupted_reads"] > 0,
+        "chaos rates must actually inject faults: {by_name:?}"
+    );
+    assert_eq!(by_name["hsm.media_lost"], 0, "{by_name:?}");
+}
+
+#[test]
+fn lost_supertile_fails_its_query_but_not_a_coalesced_peer() {
+    // Single copy and frequent bad segments: a super-tile whose every
+    // retry fails has no surviving copy.
+    let mut fc = FaultConfig::quiet(5);
+    fc.media_read_error_per_read = 0.7;
+    // Fault decisions are keyed per access, so probing each super-tile on
+    // its own names the ones every run of this plan loses.
+    let (mut probe, oids) = build_dual(1, 2, true, false);
+    probe.set_fault_plan(Some(fc));
+    let lost: Vec<Option<u64>> = (0..GRID * GRID)
+        .map(
+            |t| match probe.fetch_region_hierarchical(oids[0], &tile_region(t)) {
+                Ok(_) => None,
+                Err(HeavenError::MediaLost { st }) => Some(st),
+                Err(e) => panic!("untyped failure: {e}"),
+            },
+        )
+        .collect();
+    assert!(
+        lost.iter().any(Option::is_some),
+        "the seed must lose a super-tile"
+    );
+    let kept = lost
+        .iter()
+        .position(Option::is_none)
+        .expect("the seed must keep one") as i64;
+    let (mut truth, _) = build_dual(1, 2, true, false);
+    let expected = truth
+        .fetch_region_hierarchical(oids[0], &tile_region(kept))
+        .unwrap();
+    let regions = [tiles_region(0, GRID * GRID - 1), tile_region(kept)];
+    let mut coalesced = 0;
+    for _ in 0..5 {
+        let (h, _) = build_dual(1, 2, true, false);
+        let mut h = h.into_concurrent();
+        h.set_batch_window(Duration::from_millis(50));
+        h.set_fault_plan(Some(fc));
+        let h = h;
+        let mut got = race_sessions(&h, oids[0], &regions).into_iter();
+        match got.next().unwrap() {
+            Err(HeavenError::MediaLost { st }) => {
+                assert!(lost.contains(&Some(st)), "super-tile {st} was not lost")
+            }
+            other => panic!("expected MediaLost, got {other:?}"),
+        }
+        assert_eq!(got.next().unwrap().unwrap(), expected);
+        coalesced = h.metrics().counter("sched.coalesced_fetches").get();
+        if coalesced >= 1 {
+            break;
+        }
+    }
+    assert!(
+        coalesced >= 1,
+        "the peer must coalesce onto the failed query's fetch"
     );
 }
