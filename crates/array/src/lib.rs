@@ -3,8 +3,8 @@
 //!
 //! The array data model underlying the HEAVEN reproduction: domains
 //! ([`Minterval`]), cell types, dense arrays ([`MDArray`]), tiling, tile
-//! codecs, linearization orders, array algebra (trim / slice / induced /
-//! condense) and multidimensional tile indexes.
+//! codecs, linearization orders and array algebra (trim / slice / induced /
+//! condense).
 //!
 //! This corresponds to RasDaMan's logical and physical data model as
 //! described in §2.1 and §2.6 of the dissertation; every higher layer
@@ -14,7 +14,6 @@ pub mod codec;
 pub mod domain;
 pub mod error;
 pub mod frame;
-pub mod index;
 pub mod mdd;
 pub mod ops;
 pub mod order;
@@ -29,7 +28,6 @@ pub use codec::{
 pub use domain::{Interval, Minterval, Point};
 pub use error::{ArrayError, Result};
 pub use frame::{subtract_box, Frame};
-pub use index::{GridIndex, RTreeIndex, TileIndex};
 pub use mdd::MDArray;
 pub use ops::{
     induced_binary, induced_scalar, induced_unary, scale_down, slice, trim, BinaryOp, Condenser,

@@ -159,29 +159,25 @@ impl ArrayDb {
         }
         let oid = self.next_oid;
         self.next_oid += 1;
-        let tile_domains = tiling.tile_domains(array.domain(), array.cell_type())?;
         let first_tile = self.next_tile;
-        self.next_tile += tile_domains.len() as u64;
+        let meta = ObjectMeta::new(
+            oid,
+            coll_id,
+            array.domain().clone(),
+            array.cell_type(),
+            tiling,
+            first_tile,
+        )?;
+        self.next_tile += meta.tiles.len() as u64;
 
         self.db.begin()?;
-        let mut tiles = Vec::with_capacity(tile_domains.len());
-        for (i, dom) in tile_domains.iter().enumerate() {
-            let tile_id = first_tile + i as u64;
+        for &(ref dom, tile_id) in meta.tiles.iter() {
             let payload = array.extract(dom)?;
             let tile = Tile::new(tile_id, oid, payload);
             let blob = self.blobs.put(&mut self.db, &tile.encode())?;
             self.tile_dir.insert(&mut self.db, tile_id, blob)?;
             self.tile_loc.insert(tile_id, TileLocation::Disk);
-            tiles.push((dom.clone(), tile_id));
         }
-        let meta = ObjectMeta {
-            oid,
-            collection: coll_id,
-            domain: array.domain().clone(),
-            cell_type: array.cell_type(),
-            tiling,
-            tiles,
-        };
         let row = encode_object_row(&meta, first_tile);
         self.obj_table.insert(&mut self.db, &row)?;
         self.db.commit()?;
@@ -216,12 +212,11 @@ impl ArrayDb {
         };
         let oid = self.next_oid;
         self.next_oid += 1;
-        let tile_domains = tiling.tile_domains(domain, cell_type)?;
         let first_tile = self.next_tile;
-        self.next_tile += tile_domains.len() as u64;
+        let meta = ObjectMeta::new(oid, coll_id, domain.clone(), cell_type, tiling, first_tile)?;
+        self.next_tile += meta.tiles.len() as u64;
 
         self.db.begin()?;
-        let mut tiles = Vec::with_capacity(tile_domains.len());
         // Roll back the in-memory tile-location entries alongside the
         // transaction if a produced tile is invalid.
         let rollback = |adb: &mut ArrayDb, upto: u64| -> Result<()> {
@@ -231,8 +226,7 @@ impl ArrayDb {
             }
             Ok(())
         };
-        for (i, dom) in tile_domains.iter().enumerate() {
-            let tile_id = first_tile + i as u64;
+        for &(ref dom, tile_id) in meta.tiles.iter() {
             let payload = produce(dom);
             if payload.domain() != dom {
                 rollback(self, tile_id)?;
@@ -253,16 +247,7 @@ impl ArrayDb {
             let blob = self.blobs.put(&mut self.db, &tile.encode())?;
             self.tile_dir.insert(&mut self.db, tile_id, blob)?;
             self.tile_loc.insert(tile_id, TileLocation::Disk);
-            tiles.push((dom.clone(), tile_id));
         }
-        let meta = ObjectMeta {
-            oid,
-            collection: coll_id,
-            domain: domain.clone(),
-            cell_type,
-            tiling,
-            tiles,
-        };
         let row = encode_object_row(&meta, first_tile);
         self.obj_table.insert(&mut self.db, &row)?;
         self.db.commit()?;
@@ -390,7 +375,7 @@ impl ArrayDb {
             .remove(&oid)
             .ok_or(ArrayDbError::NoSuchObject(oid))?;
         self.db.begin()?;
-        for (_, tid) in &meta.tiles {
+        for (_, tid) in meta.tiles.iter() {
             if self.tile_loc.remove(tid) == Some(TileLocation::Disk) {
                 if let Some(blob) = self.tile_dir.get(&mut self.db, *tid)? {
                     self.blobs.delete(&mut self.db, blob)?;
@@ -587,19 +572,8 @@ fn decode_object_row(row: &[u8]) -> Result<(ObjectMeta, TileId)> {
         bounds.push((lo, hi));
     }
     let domain = Minterval::new(&bounds)?;
-    let tile_domains = tiling.tile_domains(&domain, cell_type)?;
-    let tiles: Vec<(Minterval, TileId)> = tile_domains.into_iter().zip(first_tile..).collect();
-    Ok((
-        ObjectMeta {
-            oid,
-            collection,
-            domain,
-            cell_type,
-            tiling,
-            tiles,
-        },
-        first_tile,
-    ))
+    let meta = ObjectMeta::new(oid, collection, domain, cell_type, tiling, first_tile)?;
+    Ok((meta, first_tile))
 }
 
 #[cfg(test)]
@@ -638,7 +612,7 @@ mod tests {
         let (adb, oid) = db_with_object();
         let meta = adb.object(oid).unwrap();
         assert_eq!(meta.tiles.len(), 9);
-        for (_, tid) in &meta.tiles {
+        for (_, tid) in meta.tiles.iter() {
             assert_eq!(adb.tile_location(*tid).unwrap(), TileLocation::Disk);
         }
     }

@@ -83,7 +83,7 @@ impl Heaven {
         let mut bytes = 0u64;
         let mut raw_bytes = 0u64;
         let mut media = Vec::new();
-        for (_, tid) in &meta.tiles {
+        for (_, tid) in meta.tiles.iter() {
             let t0 = clock.now_s();
             let tile = self.adb.read_tile(*tid)?;
             let t1 = clock.now_s();

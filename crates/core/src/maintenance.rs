@@ -371,7 +371,7 @@ mod tests {
         heaven
             .register_supertile(meta, addr, None, checksum)
             .unwrap();
-        for &(_, t) in &tiles {
+        for &(_, t) in tiles.iter() {
             heaven.adb.mark_exported(t).unwrap();
         }
         heaven.clear_caches();

@@ -13,6 +13,7 @@
 //!   [`Condenser::combine`](heaven_array::Condenser::combine)).
 
 use heaven_array::{Condenser, Minterval, ObjectId, TileId};
+use heaven_arraydb::ObjectMeta;
 use std::collections::HashMap;
 
 /// Statistics of catalog usage.
@@ -72,23 +73,17 @@ impl PrecompCatalog {
             .insert(tile, (value, cells));
     }
 
-    /// Try to answer `(oid, op, region)` from the catalog.
+    /// Try to answer `(meta.oid, op, region)` from the catalog.
     ///
-    /// `tiles` is the object's tile layout (`(domain, id)` pairs); the
-    /// combination path applies when `region` is exactly the union of whole
-    /// tiles with recorded partials.
-    pub fn lookup(
-        &mut self,
-        oid: ObjectId,
-        op: Condenser,
-        region: &Minterval,
-        tiles: &[(Minterval, TileId)],
-    ) -> Option<f64> {
+    /// The combination path applies when `region` is exactly the union of
+    /// whole tiles of `meta` with recorded partials.
+    pub fn lookup(&mut self, meta: &ObjectMeta, op: Condenser, region: &Minterval) -> Option<f64> {
+        let oid = meta.oid;
         if let Some(&v) = self.exact.get(&(oid, op, region.clone())) {
             self.stats.exact_hits += 1;
             return Some(v);
         }
-        if let Some(v) = self.try_combine(oid, op, region, tiles) {
+        if let Some(v) = self.try_combine(meta, op, region) {
             self.stats.combine_hits += 1;
             // promote to an exact entry for next time
             self.exact.insert((oid, op, region.clone()), v);
@@ -98,22 +93,13 @@ impl PrecompCatalog {
         None
     }
 
-    fn try_combine(
-        &self,
-        oid: ObjectId,
-        op: Condenser,
-        region: &Minterval,
-        tiles: &[(Minterval, TileId)],
-    ) -> Option<f64> {
-        let partials = self.tile_partials.get(&(oid, op))?;
+    fn try_combine(&self, meta: &ObjectMeta, op: Condenser, region: &Minterval) -> Option<f64> {
+        let partials = self.tile_partials.get(&(meta.oid, op))?;
         // All tiles intersecting the region must be fully contained in it
         // (region = union of whole tiles) and have recorded partials.
         let mut parts: Vec<(f64, u64)> = Vec::new();
         let mut covered: u64 = 0;
-        for (dom, tid) in tiles {
-            if !dom.intersects(region) {
-                continue;
-            }
+        for (dom, tid) in meta.tiles_in(region) {
             if !region.contains(dom) {
                 return None; // partial tile: cannot combine
             }
@@ -138,24 +124,28 @@ impl PrecompCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use heaven_array::{CellType, Tiling};
 
     fn mi(b: &[(i64, i64)]) -> Minterval {
         Minterval::new(b).unwrap()
     }
 
-    /// 2x2 tile layout, tiles 10x10, values: tile i has cells all equal i+1.
-    fn layout() -> Vec<(Minterval, TileId)> {
-        vec![
-            (mi(&[(0, 9), (0, 9)]), 1),
-            (mi(&[(0, 9), (10, 19)]), 2),
-            (mi(&[(10, 19), (0, 9)]), 3),
-            (mi(&[(10, 19), (10, 19)]), 4),
-        ]
+    /// 2x2 tile layout of object 7, tiles 10x10 with ids 1..=4 in
+    /// row-major order; values: tile i has cells all equal i+1.
+    fn layout() -> ObjectMeta {
+        let tiling = Tiling::Regular {
+            tile_shape: vec![10, 10],
+        };
+        ObjectMeta::new(7, 1, mi(&[(0, 19), (0, 19)]), CellType::F32, tiling, 1).unwrap()
+    }
+
+    fn other_object() -> ObjectMeta {
+        ObjectMeta { oid: 8, ..layout() }
     }
 
     fn catalog_with_partials(op: Condenser) -> PrecompCatalog {
         let mut c = PrecompCatalog::new();
-        for (i, (_, tid)) in layout().iter().enumerate() {
+        for (i, (_, tid)) in layout().tiles.iter().enumerate() {
             let v = (i + 1) as f64;
             let partial = match op {
                 Condenser::Sum => v * 100.0,
@@ -173,11 +163,11 @@ mod tests {
         let mut c = PrecompCatalog::new();
         let r = mi(&[(0, 4), (0, 4)]);
         c.record_exact(7, Condenser::Avg, r.clone(), 3.5);
-        assert_eq!(c.lookup(7, Condenser::Avg, &r, &layout()), Some(3.5));
+        assert_eq!(c.lookup(&layout(), Condenser::Avg, &r), Some(3.5));
         assert_eq!(c.stats().exact_hits, 1);
         // different op or object misses
-        assert_eq!(c.lookup(7, Condenser::Sum, &r, &layout()), None);
-        assert_eq!(c.lookup(8, Condenser::Avg, &r, &layout()), None);
+        assert_eq!(c.lookup(&layout(), Condenser::Sum, &r), None);
+        assert_eq!(c.lookup(&other_object(), Condenser::Avg, &r), None);
     }
 
     #[test]
@@ -185,10 +175,10 @@ mod tests {
         let mut c = catalog_with_partials(Condenser::Avg);
         // left column = tiles 1 and 3 → avg of (1, 3) weighted equally = 2
         let region = mi(&[(0, 19), (0, 9)]);
-        assert_eq!(c.lookup(7, Condenser::Avg, &region, &layout()), Some(2.0));
+        assert_eq!(c.lookup(&layout(), Condenser::Avg, &region), Some(2.0));
         assert_eq!(c.stats().combine_hits, 1);
         // promoted to exact
-        assert_eq!(c.lookup(7, Condenser::Avg, &region, &layout()), Some(2.0));
+        assert_eq!(c.lookup(&layout(), Condenser::Avg, &region), Some(2.0));
         assert_eq!(c.stats().exact_hits, 1);
     }
 
@@ -197,7 +187,7 @@ mod tests {
         let mut c = catalog_with_partials(Condenser::Sum);
         let whole = mi(&[(0, 19), (0, 19)]);
         assert_eq!(
-            c.lookup(7, Condenser::Sum, &whole, &layout()),
+            c.lookup(&layout(), Condenser::Sum, &whole),
             Some(100.0 + 200.0 + 300.0 + 400.0)
         );
     }
@@ -206,7 +196,7 @@ mod tests {
     fn partial_tile_regions_do_not_combine() {
         let mut c = catalog_with_partials(Condenser::Sum);
         let region = mi(&[(0, 14), (0, 9)]); // cuts tile 3 in half
-        assert_eq!(c.lookup(7, Condenser::Sum, &region, &layout()), None);
+        assert_eq!(c.lookup(&layout(), Condenser::Sum, &region), None);
         assert_eq!(c.stats().misses, 1);
     }
 
@@ -216,16 +206,16 @@ mod tests {
         c.record_tile_partial(7, Condenser::Sum, 1, 100.0, 100);
         // tile 3 has no partial
         let region = mi(&[(0, 19), (0, 9)]);
-        assert_eq!(c.lookup(7, Condenser::Sum, &region, &layout()), None);
+        assert_eq!(c.lookup(&layout(), Condenser::Sum, &region), None);
     }
 
     #[test]
     fn invalidation_clears_object() {
         let mut c = catalog_with_partials(Condenser::Max);
         let whole = mi(&[(0, 19), (0, 19)]);
-        assert_eq!(c.lookup(7, Condenser::Max, &whole, &layout()), Some(4.0));
+        assert_eq!(c.lookup(&layout(), Condenser::Max, &whole), Some(4.0));
         c.invalidate_object(7);
-        assert_eq!(c.lookup(7, Condenser::Max, &whole, &layout()), None);
+        assert_eq!(c.lookup(&layout(), Condenser::Max, &whole), None);
         assert_eq!(c.exact_len(), 0);
     }
 }

@@ -710,13 +710,16 @@ impl Heaven {
             self.begin_query(&format!("fetch_region oid={oid} {region}"));
         }
         let clock = self.clock();
+        // Render the region only when something records the span.
+        let region_field = if self.bus.is_enabled() {
+            Field::bounds(region.axes().iter().map(|a| (a.lo, a.hi)))
+        } else {
+            Field::StaticStr("")
+        };
         let span = self.bus.span(
             "heaven.fetch_region",
             clock.now_s(),
-            &[
-                ("oid", oid.into()),
-                ("region", Field::dyn_str(&region.to_string())),
-            ],
+            &[("oid", oid.into()), ("region", region_field)],
         );
         let result = self.fetch_region_impl(oid, region);
         span.end(clock.now_s());
@@ -1041,8 +1044,8 @@ impl TileProvider for Heaven {
     }
 
     fn precomputed(&mut self, oid: ObjectId, op: Condenser, region: &Minterval) -> Option<f64> {
-        let tiles = self.adb.object(oid).ok()?.tiles.clone();
-        self.precomp.lookup(oid, op, region, &tiles)
+        let meta = self.adb.object(oid).ok()?;
+        self.precomp.lookup(meta, op, region)
     }
 
     fn note_computed(&mut self, oid: ObjectId, op: Condenser, region: &Minterval, value: f64) {

@@ -2,13 +2,14 @@
 //! query across the hierarchy → maintenance.
 
 use heaven_array::{CellType, Condenser, MDArray, Minterval, Point, Tiling};
-use heaven_arraydb::ArrayDb;
+use heaven_arraydb::{ArrayDb, TileProvider};
 use heaven_core::{
     AccessPattern, ClusteringStrategy, EvictionPolicy, ExportMode, Heaven, HeavenConfig,
     PrefetchPolicy,
 };
 use heaven_rdbms::Database;
 use heaven_tape::{DeviceProfile, SimClock, TapeLibrary};
+use std::sync::Arc;
 
 fn mi(b: &[(i64, i64)]) -> Minterval {
     Minterval::new(b).unwrap()
@@ -61,6 +62,23 @@ fn export_then_query_returns_identical_data() {
         .fetch_region_hierarchical(oid, &mi(&[(0, 59), (0, 59)]))
         .unwrap();
     assert_eq!(before, after, "data must survive the tape roundtrip");
+}
+
+#[test]
+fn provider_object_meta_shares_the_tile_list() {
+    let (mut heaven, oid) = setup(small_st_config());
+    heaven.export_object(oid, ExportMode::Tct).unwrap();
+    let a = TileProvider::object_meta(&heaven, oid).unwrap();
+    let b = TileProvider::object_meta(&heaven, oid).unwrap();
+    assert_eq!(a.tiles.len(), 36);
+    assert!(
+        Arc::ptr_eq(&a.tiles, &b.tiles),
+        "object_meta copied the tile list"
+    );
+    assert!(Arc::ptr_eq(
+        &a.tiles,
+        &heaven.arraydb().object(oid).unwrap().tiles
+    ));
 }
 
 #[test]

@@ -117,8 +117,35 @@ impl SmallStr {
     }
 
     pub fn as_str(&self) -> &str {
-        // SAFETY: built from a str's bytes in `new`.
+        // SAFETY: built from a str's bytes in `new` and ASCII in `push`.
         unsafe { std::str::from_utf8_unchecked(&self.buf[..self.len as usize]) }
+    }
+
+    /// Append ASCII `bytes`; false, appending nothing, if they don't fit.
+    fn push(&mut self, bytes: &[u8]) -> bool {
+        let start = self.len as usize;
+        let end = start + bytes.len();
+        if end > SMALL_CAP || !bytes.is_ascii() {
+            return false;
+        }
+        self.buf[start..end].copy_from_slice(bytes);
+        self.len = end as u8;
+        true
+    }
+
+    fn push_i64(&mut self, v: i64) -> bool {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        let mut n = v.unsigned_abs();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        (v >= 0 || self.push(b"-")) && self.push(&digits[i..])
     }
 }
 
@@ -148,6 +175,35 @@ impl Field {
             Some(small) => Field::Small(small),
             None => Field::Sym(Sym::intern(s)),
         }
+    }
+
+    /// A box rendered as `[lo0:hi0,lo1:hi1,...]` (a region's text form),
+    /// with the digits written straight into the inline buffer: no
+    /// formatting machinery, no heap. Longer text is interned like
+    /// [`Field::dyn_str`].
+    pub fn bounds<I>(axes: I) -> Field
+    where
+        I: IntoIterator<Item = (i64, i64)>,
+        I::IntoIter: Clone,
+    {
+        let axes = axes.into_iter();
+        let mut small = SmallStr {
+            len: 0,
+            buf: [0; SMALL_CAP],
+        };
+        let mut fits = small.push(b"[");
+        for (i, (lo, hi)) in axes.clone().enumerate() {
+            fits = fits
+                && (i == 0 || small.push(b","))
+                && small.push_i64(lo)
+                && small.push(b":")
+                && small.push_i64(hi);
+        }
+        if fits && small.push(b"]") {
+            return Field::Small(small);
+        }
+        let text: Vec<String> = axes.map(|(lo, hi)| format!("{lo}:{hi}")).collect();
+        Field::dyn_str(&format!("[{}]", text.join(",")))
     }
 
     /// The string payload, if this is a string-flavored field.
@@ -1714,5 +1770,19 @@ mod tests {
         let recs = bus.records();
         assert_eq!(recs[0].fields[0].1, Field::Str("a\"b\\c".into()));
         assert!(recs[0].to_json().contains(r#""msg":"a\"b\\c""#));
+    }
+
+    #[test]
+    fn bounds_fields_render_inline_and_spill_when_long() {
+        let short = Field::bounds([(0, 63), (-8, 7)]);
+        assert!(matches!(short, Field::Small(_)));
+        assert_eq!(short.as_str(), Some("[0:63,-8:7]"));
+        let extremes = [(i64::MIN, i64::MAX)];
+        let long = Field::bounds(extremes);
+        assert!(matches!(long, Field::Sym(_)));
+        assert_eq!(
+            long.as_str(),
+            Some(&*format!("[{}:{}]", i64::MIN, i64::MAX))
+        );
     }
 }

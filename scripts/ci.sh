@@ -33,6 +33,13 @@ fi
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> benchmark smoke (perfbench builds against the public API)"
+# perfbench/ is its own workspace compiled against the ObjectMeta and
+# TileProvider API; the smoke run builds it and checks every workload
+# prints each BENCHMARK.json metric, so an API change that breaks the
+# benchmark fails here.
+python3 perfbench/run.py --smoke
+
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
 
