@@ -21,11 +21,13 @@
 //!   ([`FetchRequest`]s) with the [`FetchBatcher`] in one call and waits
 //!   once, so a query costs at most one batching window however many
 //!   super-tiles it misses. One waiting session becomes the *drainer*,
-//!   waits that window for peers to pile on (a condvar handoff — each
-//!   new arrival re-arms a quiet period, so the window closes as soon as
-//!   enqueueing goes idle), then stages the merged batch in one
-//!   scheduled sweep (mounted-media first, ascending offsets,
-//!   drive-parallel rounds). Duplicate super-tile requests **coalesce**:
+//!   waits for peers to pile on (a condvar handoff — the window closes
+//!   as soon as every open session has a request queued, so no peer is
+//!   left to join, or when it runs out), then stages the merged batch in
+//!   one scheduled sweep (mounted-media first, ascending offsets,
+//!   drive-parallel rounds). Which requests share a batch therefore
+//!   depends on what the sessions ask for, not on thread timing, as long
+//!   as every open session keeps querying. Duplicate super-tile requests **coalesce**:
 //!   one tape fetch resolves every waiting session
 //!   (`sched.coalesced_fetches` counts the saved fetches).
 //!
@@ -192,15 +194,25 @@ type Outcome = std::result::Result<Served, FetchFailure>;
 struct Inflight {
     slot: Mutex<Option<Outcome>>,
     done: Condvar,
+    /// The [`BatchQueue::epoch`] the fetch was queued in: while the two
+    /// are equal, the fetch still waits in `pending`.
+    epoch: u64,
 }
 
-/// Arrival-ordered fetch queue plus a monotone arrival counter for the
-/// batching window's quiet-period detection (requeues don't count — they
-/// come from the drainer itself).
+/// Arrival-ordered fetch queue plus the session accounting that closes
+/// the batching window.
 #[derive(Debug, Default)]
 struct BatchQueue {
     pending: Vec<PendingFetch>,
-    arrivals: u64,
+    /// Retries and failovers for the current drainer's next pass (they
+    /// come from the drainer itself, so they never count as arrivals).
+    requeued: Vec<PendingFetch>,
+    /// Sessions with a request in `pending`.
+    queued_sessions: usize,
+    /// Open sessions: once all of them are queued, nobody can join.
+    live_sessions: usize,
+    /// Batches taken from `pending` so far.
+    epoch: u64,
 }
 
 /// The cross-session staging coordinator (a combining lock).
@@ -208,12 +220,11 @@ struct BatchQueue {
 /// `inflight` registers-or-coalesces under one critical section (a request
 /// is pushed to the queue in the same section, so no request is ever both
 /// unqueued and unobserved). Whichever waiting session wins `drain`
-/// becomes the drainer: it waits out the batching window on the `arrived`
-/// condvar (each arrival re-arms a short quiet period, so the window
-/// closes early once peers stop enqueueing), then stages the merged batch
-/// in one scheduled, drive-parallel sweep — repeating until the queue is
-/// empty so that requeued retries/failovers are staged before the drainer
-/// seat is vacated. Non-drainers park on their entry's `done` condvar.
+/// becomes the drainer: it waits on the `arrived` condvar until every
+/// open session has a request queued or the window runs out, then stages
+/// the merged batch in one scheduled, drive-parallel sweep — and stages
+/// requeued retries/failovers in further passes before the drainer seat
+/// is vacated. Non-drainers park on their entry's `done` condvar.
 #[derive(Debug)]
 pub(crate) struct FetchBatcher {
     queue: Mutex<BatchQueue>,
@@ -244,44 +255,53 @@ impl FetchBatcher {
         let entries: Vec<(Arc<Inflight>, bool)> = {
             let mut map = self.inflight.lock();
             let mut q = self.queue.lock();
-            let (queued, enqueue_s) = (q.pending.len(), h.clock.now_s());
+            let enqueue_s = h.clock.now_s();
+            // Queued in this window: a new request, or a coalesced one
+            // still waiting in `pending` (not one already being staged).
+            let mut joined = false;
             let entries = reqs
                 .into_iter()
                 .map(|mut p| match map.get(&p.req.st) {
                     Some(e) => {
                         h.metrics.coalesced_fetches.inc();
+                        joined |= e.epoch == q.epoch;
                         (Arc::clone(e), true)
                     }
                     None => {
-                        let e = Arc::new(Inflight::default());
+                        let e = Arc::new(Inflight {
+                            epoch: q.epoch,
+                            ..Inflight::default()
+                        });
                         map.insert(p.req.st, Arc::clone(&e));
                         p.enqueue_s = enqueue_s;
                         q.pending.push(p);
+                        joined = true;
                         (e, false)
                     }
                 })
                 .collect();
-            if q.pending.len() > queued {
-                q.arrivals += 1;
+            if joined {
+                q.queued_sessions += 1;
                 self.arrived.notify_all();
             }
             entries
         };
         while let Some((entry, _)) = entries.iter().find(|(e, _)| e.slot.lock().is_none()) {
             match self.drain.try_lock() {
-                Some(_drainer) => {
-                    self.wait_window();
-                    // Drain until the queue is quiet: requeued retries and
-                    // replica failovers are staged before the drainer seat
-                    // is vacated, so their coalesced waiters are never
-                    // stranded behind an empty election.
-                    loop {
-                        self.drain_all(h);
-                        if self.queue.lock().pending.is_empty() {
-                            break;
-                        }
+                // Re-check under the seat: the drainer it was just taken
+                // from may have resolved the entry.
+                Some(_drainer) if entry.slot.lock().is_none() => {
+                    // Requeued retries and replica failovers are staged
+                    // before the drainer seat is vacated, so their
+                    // coalesced waiters are never stranded behind an empty
+                    // election. New arrivals wait for the next window.
+                    let mut batch = self.next_batch();
+                    while !batch.is_empty() {
+                        self.drain_all(h, batch);
+                        batch = std::mem::take(&mut self.queue.lock().requeued);
                     }
                 }
+                Some(_) => {}
                 None => {
                     let slot = entry.slot.lock();
                     if slot.is_none() {
@@ -299,42 +319,45 @@ impl FetchBatcher {
             .collect()
     }
 
-    /// Wait out the batching window on the arrival condvar: each new
-    /// arrival re-arms a short quiet period, and the wait ends at the
-    /// first quiet period (or the full window, whichever comes first).
-    /// Peers enqueue freely while the drainer sleeps — the queue lock is
-    /// released inside `wait_for`.
-    fn wait_window(&self) {
-        if self.window.is_zero() {
-            return;
-        }
-        let quiet = self.window.min(Duration::from_millis(2));
+    /// Wait out the batching window on the arrival condvar, then take the
+    /// queued batch. The window closes as soon as every open session has
+    /// a request queued — no peer is left to join — or when it runs out,
+    /// which bounds the wait for a session that is busy elsewhere or idle
+    /// between queries. Peers enqueue freely while the drainer sleeps —
+    /// the queue lock is released inside `wait_for` — and a closing
+    /// session notifies the condvar too.
+    fn next_batch(&self) -> Vec<PendingFetch> {
         let deadline = Instant::now() + self.window;
         let mut q = self.queue.lock();
-        loop {
-            let seen = q.arrivals;
+        while q.queued_sessions < q.live_sessions {
             let now = Instant::now();
             if now >= deadline {
-                return;
+                break;
             }
-            let (g, _) = self.arrived.wait_for(q, quiet.min(deadline - now));
-            q = g;
-            if q.arrivals == seen {
-                return; // a full quiet period passed with no arrivals
-            }
+            q = self.arrived.wait_for(q, deadline - now).0;
         }
+        q.queued_sessions = 0;
+        q.epoch += 1;
+        std::mem::take(&mut q.pending)
     }
 
-    /// Stage every queued request in one scheduled sweep and resolve the
-    /// waiters. Transient failures requeue (with their coalesced waiters
-    /// intact — the inflight entry survives); failures resolve the
-    /// affected entries (nobody is left parked on a fetch that will never
+    /// Count a newly opened session (see [`FetchBatcher::next_batch`]).
+    fn open_session(&self) {
+        self.queue.lock().live_sessions += 1;
+    }
+
+    /// Uncount a closed session; a drainer waiting for it stops waiting.
+    fn close_session(&self) {
+        self.queue.lock().live_sessions -= 1;
+        self.arrived.notify_all();
+    }
+
+    /// Stage `reqs` in one scheduled sweep and resolve the waiters.
+    /// Transient failures requeue (with their coalesced waiters intact —
+    /// the inflight entry survives); failures resolve the affected
+    /// entries (nobody is left parked on a fetch that will never
     /// complete).
-    fn drain_all(&self, h: &ConcurrentHeaven) {
-        let mut reqs: Vec<PendingFetch> = std::mem::take(&mut self.queue.lock().pending);
-        if reqs.is_empty() {
-            return;
-        }
+    fn drain_all(&self, h: &ConcurrentHeaven, mut reqs: Vec<PendingFetch>) {
         let mut store = h.store.lock();
         // Stall watchdog: each drain pass is one batching window; a fetch
         // still pending past `stall_window_mult` passes (it keeps
@@ -550,9 +573,7 @@ impl FetchBatcher {
                 ("replica", (p.on_replica as u64).into()),
             ],
         );
-        // No arrivals bump: requeues come from the drainer itself and must
-        // not re-arm the batching window's quiet period.
-        self.queue.lock().pending.push(p);
+        self.queue.lock().requeued.push(p);
     }
 
     fn resolve(&self, st: SuperTileId, outcome: Outcome) {
@@ -623,6 +644,7 @@ impl ConcurrentHeaven {
     /// trace attribution. Dropping the session re-joins the shared
     /// timeline.
     pub fn session(&self) -> Session<'_> {
+        self.batcher.open_session();
         Session {
             h: self,
             id: self.next_session.fetch_add(1, Ordering::Relaxed),
@@ -630,9 +652,11 @@ impl ConcurrentHeaven {
         }
     }
 
-    /// The batching window: how long (host time) a drainer waits for peer
-    /// sessions to enqueue before staging the merged batch. Zero disables
-    /// the wait (requests still coalesce when they genuinely overlap).
+    /// The batching window: the longest (host time) a drainer waits for
+    /// open peer sessions to enqueue before staging the merged batch; it
+    /// stages earlier once every open session has a request queued. Zero
+    /// disables the wait (requests still coalesce when they genuinely
+    /// overlap).
     pub fn set_batch_window(&mut self, window: Duration) {
         self.batcher.window = window;
     }
@@ -960,6 +984,7 @@ impl Drop for Session<'_> {
         // Re-join the shared timeline: the epoch ends when the slowest
         // overlapped lane ends.
         self.h.clock.advance_to_s(self.lane.now_s());
+        self.h.batcher.close_session();
     }
 }
 

@@ -2,9 +2,10 @@
 //! load, single-session determinism against the single-owner system,
 //! cross-session request coalescing, batched staging beating per-session
 //! FIFO on media exchanges, a query's whole super-tile miss set staging
-//! as one batch, and seeded-chaos determinism (same seed → byte-identical
+//! as one batch, seeded-chaos determinism (same seed → byte-identical
 //! answers and identical fault/recovery counters, single-session and
-//! 8-thread concurrent).
+//! 8-thread concurrent), and the batching window closing once every open
+//! session has queued (or when it runs out, for a session that never does).
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -274,7 +275,14 @@ fn run_cold_workload(batching: bool, window_ms: u64) -> u64 {
 #[test]
 fn cross_session_batching_beats_per_session_fifo_on_exchanges() {
     let fifo = run_cold_workload(false, 0);
-    let batched = run_cold_workload(true, 25);
+    // The window only bounds the wait for an open session that has not
+    // queued. Every session here keeps querying until it closes, so each
+    // step's four requests stage as one batch whatever the thread timing.
+    let batched = run_cold_workload(true, 1000);
+    assert_eq!(
+        batched, 4,
+        "one batch per cold step mounts each object's medium once"
+    );
     assert!(
         batched < fifo,
         "batched staging ({batched} mounts) must beat per-session FIFO ({fifo} mounts)"
@@ -716,4 +724,75 @@ fn lost_supertile_fails_its_query_but_not_a_coalesced_peer() {
         coalesced >= 1,
         "the peer must coalesce onto the failed query's fetch"
     );
+}
+
+// ------------------------------------------------------ batching window
+
+#[test]
+fn every_open_session_queues_before_the_batch_drains() {
+    // Four sessions, each missing its own super-tile: however the threads
+    // are scheduled, the drainer waits for all four, so they stage as one
+    // batch — and well before a window that long runs out.
+    let (h, oids) = build_multi(1, 2, true);
+    let mut h = h.into_concurrent();
+    h.set_batch_window(Duration::from_secs(20));
+    let h = h;
+    let regions: Vec<Minterval> = (0..4).map(|t| tile_region(t * 3)).collect();
+    let start = std::time::Instant::now();
+    for r in race_sessions(&h, oids[0], &regions) {
+        r.unwrap();
+    }
+    assert!(start.elapsed() < Duration::from_secs(10));
+    let m = h.metrics();
+    assert_eq!(m.counter("sched.batches").get(), 1);
+    assert_eq!(m.counter("heaven.st_tape_fetches").get(), 4);
+}
+
+#[test]
+fn lone_session_stages_without_waiting_out_the_window() {
+    let (h, oids) = build_multi(1, 2, true);
+    let mut h = h.into_concurrent();
+    h.set_batch_window(Duration::from_secs(20));
+    let h = h;
+    let session = h.session();
+    let start = std::time::Instant::now();
+    for t in 0..GRID {
+        session.fetch_region(oids[0], &tile_region(t)).unwrap();
+    }
+    assert!(
+        start.elapsed() < Duration::from_secs(10),
+        "the only open session is never waited for"
+    );
+    assert_eq!(h.metrics().counter("sched.batches").get(), GRID as u64);
+}
+
+#[test]
+fn idle_open_session_is_waited_for_until_the_window_runs_out() {
+    let (h, oids) = build_multi(1, 2, true);
+    let mut h = h.into_concurrent();
+    let window = Duration::from_millis(150);
+    h.set_batch_window(window);
+    let h = h;
+    let _idle = h.session();
+    let start = std::time::Instant::now();
+    h.session().fetch_region(oids[0], &tile_region(0)).unwrap();
+    assert!(start.elapsed() >= window, "{:?}", start.elapsed());
+}
+
+#[test]
+fn closing_the_idle_session_releases_a_waiting_drainer() {
+    let (h, oids) = build_multi(1, 2, true);
+    let mut h = h.into_concurrent();
+    h.set_batch_window(Duration::from_secs(20));
+    let h = h;
+    let idle = h.session();
+    let start = std::time::Instant::now();
+    std::thread::scope(|s| {
+        let query = s.spawn(|| h.session().fetch_region(oids[0], &tile_region(0)));
+        // Give the query time to queue and wait, then close the peer.
+        std::thread::sleep(Duration::from_millis(50));
+        drop(idle);
+        query.join().unwrap().unwrap();
+    });
+    assert!(start.elapsed() < Duration::from_secs(10));
 }
