@@ -1,35 +1,48 @@
-//! Multi-session concurrent query execution over the HEAVEN hierarchy.
+//! The retrieval engine: one `&self` path across memory, disk cache and
+//! tape (paper §3.5.2), shared by the single owner and every session.
 //!
-//! [`ConcurrentHeaven`] is the `Send + Sync` façade over a built
-//! [`Heaven`] system: build and export single-threaded, call
-//! [`Heaven::into_concurrent`], then serve queries from any number of
-//! session threads. Three mechanisms make that safe *and* fast:
+//! [`ConcurrentHeaven`] holds all the state a query reads: the array DBMS
+//! and the tape store behind mutexes (the DBMS for its buffer pool, the
+//! store because the tape library is physically serial), the super-tile
+//! catalog (plain: nothing writes it while sessions can exist, since
+//! catalog writers need `&mut Heaven`), both lock-striped caches, the
+//! cross-session batcher and one set of metric handles. [`Heaven`] is
+//! this engine plus the state only a single owner has (precomputed
+//! results, the persistent catalog, dead space, the query bracket) and
+//! reaches it through `Deref`; [`Heaven::into_concurrent`] hands the
+//! engine out on its own.
 //!
-//! * **Sharded caches** — both cache levels are lock-striped
-//!   (see [`crate::cache`]), so sessions touching different super-tiles
-//!   never serialize on a cache lock;
-//! * **Session time lanes** — each [`Session`] forks the shared
-//!   [`SimClock`] into a private lane and charges its *overlappable*
-//!   work (disk-cache reads, decode) there; dropping the session re-joins
-//!   the shared timeline with `advance_to_s`, so the simulated makespan
-//!   of N concurrent sessions is the slowest lane, not the sum — exactly
-//!   how wall-clock time behaves for parallel clients of one archive;
-//! * **Cross-session tape batching** — the tape library stays the serial
-//!   shared resource. Instead of each session mounting media on its own
-//!   ([`HeavenConfig::cross_session_batching`] = false: per-session FIFO
-//!   staging), a session enqueues its query's whole super-tile miss set
-//!   ([`FetchRequest`]s) with the [`FetchBatcher`] in one call and waits
-//!   once, so a query costs at most one batching window however many
-//!   super-tiles it misses. One waiting session becomes the *drainer*,
-//!   waits for peers to pile on (a condvar handoff — the window closes
-//!   as soon as every open session has a request queued, so no peer is
-//!   left to join, or when it runs out), then stages the merged batch in
-//!   one scheduled sweep (mounted-media first, ascending offsets,
-//!   drive-parallel rounds). Which requests share a batch therefore
-//!   depends on what the sessions ask for, not on thread timing, as long
-//!   as every open session keeps querying. Duplicate super-tile requests **coalesce**:
-//!   one tape fetch resolves every waiting session
-//!   (`sched.coalesced_fetches` counts the saved fetches).
+//! Every query goes through one assembly routine (classify tiles, stage
+//! super-tiles, decode, patch), and every tertiary payload — demand,
+//! batch, prefetch or drainer — enters the hierarchy through one
+//! admission step that counts the fetch, observes the fetch histograms,
+//! decompresses and caches. Two staging modes sit under the assembly:
+//!
+//! * **Direct** — the single owner's path, also taken by sessions with
+//!   [`HeavenConfig::cross_session_batching`] off: the query's misses are
+//!   scheduled per query (`heaven.schedule` event), read one super-tile
+//!   at a time (member-only reads on random-access media), and followed
+//!   by prefetch.
+//! * **Batched** — a session enqueues its query's whole super-tile miss
+//!   set ([`FetchRequest`]s) with the [`FetchBatcher`] in one call and
+//!   waits once, so a query costs at most one batching window however
+//!   many super-tiles it misses. One waiting session becomes the
+//!   *drainer*, waits for peers to pile on (a condvar handoff — the
+//!   window closes as soon as every open session has a request queued,
+//!   so no peer is left to join, or when it runs out), then stages the
+//!   merged batch in one scheduled sweep (mounted-media first, ascending
+//!   offsets, drive-parallel rounds). Which requests share a batch
+//!   therefore depends on what the sessions ask for, not on thread
+//!   timing, as long as every open session keeps querying. Duplicate
+//!   super-tile requests **coalesce**: one tape fetch resolves every
+//!   waiting session (`sched.coalesced_fetches` counts the saved
+//!   fetches).
+//!
+//! Each [`Session`] forks the shared [`SimClock`] into a private lane and
+//! charges its overlappable work (disk-cache reads, decode) there;
+//! dropping the session re-joins the shared timeline with `advance_to_s`,
+//! so the simulated makespan of N concurrent sessions is the slowest
+//! lane, not the sum. The single owner runs on the shared clock itself.
 //!
 //! Under fault injection the batcher is also the recovery ladder: a
 //! transiently failed fetch is *requeued* into the next drain iteration
@@ -49,35 +62,61 @@
 //! stall watchdog ([`HeavenConfig::stall_window_mult`]) flags fetches
 //! that survive too many drain passes (`sched.stalls` + `sched.stall`
 //! events naming the blocking medium).
+//!
+//! [`Heaven`]: crate::system::Heaven
+//! [`Heaven::into_concurrent`]: crate::system::Heaven::into_concurrent
 
 use crate::cache::{CacheStats, SuperTileCache, TileCache};
 use crate::catalog::SuperTileCatalog;
-use crate::config::HeavenConfig;
+use crate::config::{HeavenConfig, PrefetchPolicy};
 use crate::error::{HeavenError, Result};
 use crate::recovery::{read_with_recovery, RecoveryMetrics};
-use crate::scheduler::{plan_drive_rounds, schedule, FetchRequest};
-use crate::supertile::{checksum64, decode_member, SuperTileId};
-use crate::system::Heaven;
+use crate::scheduler::{count_exchanges, plan_drive_rounds, schedule, FetchRequest};
+use crate::sizing::optimal_supertile_size;
+use crate::supertile::{checksum64, decode_member, SuperTileId, SuperTileMeta};
+use crate::system::HeavenStats;
 use bytes::Bytes;
-use heaven_array::{MDArray, Minterval, ObjectId, TileId};
+use heaven_array::{Codec, MDArray, Minterval, ObjectId, Tile, TileId};
 use heaven_arraydb::{ArrayDb, TileLocation};
 use heaven_hsm::{BlockAddress, DirectStore, HsmError};
-use heaven_obs::{Counter, Histogram, MetricsRegistry, TraceBus};
-use heaven_tape::{SimClock, TapeError, TapeStats};
-use parking_lot::{Condvar, Mutex, RwLock};
+use heaven_obs::{Counter, FloatCounter, Histogram, MetricsRegistry, TraceBus};
+use heaven_tape::{DiskProfile, MediumId, SimClock, TapeError, TapeLibrary, TapeStats};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Concurrency-path metric handles (same registry as the rest of the
-/// hierarchy; `heaven.*` names continue the single-owner counters).
+/// Metric handles of the whole retrieval path; the registry is the source
+/// of truth and [`HeavenStats`] is reconstructed from it on demand.
 #[derive(Debug, Clone)]
-struct ConcMetrics {
-    region_fetches: Counter,
+pub(crate) struct HeavenMetrics {
     st_tape_fetches: Counter,
     st_tape_bytes: Counter,
-    bytes_copied: Counter,
+    prefetches: Counter,
+    prefetch_s: FloatCounter,
+    prefetch_bytes: Counter,
+    region_fetches: Counter,
+    pub(crate) bytes_copied: Counter,
+    /// Wire bytes saved by super-tile compression (payload − wire, when
+    /// the encoded form is smaller).
+    pub(crate) codec_bytes_saved: Counter,
+    /// Super-tile payloads shipped as raw pass-through.
+    pub(crate) codec_raw: Counter,
+    /// Super-tile payloads encoded with plain RLE.
+    pub(crate) codec_rle: Counter,
+    /// Super-tile payloads encoded with byte-shuffle + RLE.
+    pub(crate) codec_shuffle: Counter,
+    /// Queries whose per-level attribution exceeded the observed clock
+    /// delta (overlapping spans); their `other_s` was clamped to zero.
+    pub(crate) breakdown_overattributed: Counter,
+    /// End-to-end query latency distribution (simulated seconds), with
+    /// the query span as the exemplar.
+    pub(crate) query_latency: Histogram,
+    /// Tertiary super-tile fetch duration distribution (simulated s).
+    st_fetch_hist: Histogram,
+    /// Tertiary super-tile fetch size distribution (bytes).
+    st_fetch_bytes_hist: Histogram,
     /// Tape fetches saved because a session's request coalesced onto an
     /// identical in-flight request of another session.
     coalesced_fetches: Counter,
@@ -91,29 +130,37 @@ struct ConcMetrics {
     /// Queued fetches flagged by the stall watchdog (once per fetch; see
     /// [`HeavenConfig::stall_window_mult`]).
     stalls: Counter,
-    /// Per tertiary fetch: simulated seconds between enqueueing and the
+    /// Per batched fetch: simulated seconds between enqueueing and the
     /// start of the staging round that served it (includes retry backoff
     /// and earlier drain passes the fetch requeued through).
     queue_wait: Histogram,
-    /// Per tertiary fetch: simulated seconds from staging start to
-    /// waiter notification (mount + locate + transfer of its round).
+    /// Per batched fetch: simulated seconds from staging start to waiter
+    /// notification (mount + locate + transfer of its round).
     service: Histogram,
-    /// Session query latency (same series the single-owner bracketed
-    /// path observes); fed here with the query span as its exemplar.
-    query_latency: Histogram,
 }
 
-impl ConcMetrics {
-    fn new(registry: &MetricsRegistry) -> ConcMetrics {
+impl HeavenMetrics {
+    fn new(registry: &MetricsRegistry) -> HeavenMetrics {
         let query_latency = registry.histogram("heaven.query_latency_s");
-        // Exemplar tables are sized at registration so the per-query
-        // observe stays allocation-free.
+        // Pre-size the exemplar table so the per-query exemplar write
+        // stays allocation-free.
         query_latency.reserve_exemplars();
-        ConcMetrics {
-            region_fetches: registry.counter("heaven.region_fetches"),
+        HeavenMetrics {
             st_tape_fetches: registry.counter("heaven.st_tape_fetches"),
             st_tape_bytes: registry.counter("heaven.st_tape_bytes"),
+            prefetches: registry.counter("heaven.prefetches"),
+            prefetch_s: registry.fcounter("heaven.prefetch_s"),
+            prefetch_bytes: registry.counter("heaven.prefetch_bytes"),
+            region_fetches: registry.counter("heaven.region_fetches"),
             bytes_copied: registry.counter("heaven.bytes_copied"),
+            codec_bytes_saved: registry.counter("heaven.codec_bytes_saved"),
+            codec_raw: registry.counter("heaven.codec_raw"),
+            codec_rle: registry.counter("heaven.codec_rle"),
+            codec_shuffle: registry.counter("heaven.codec_shuffle"),
+            breakdown_overattributed: registry.counter("heaven.breakdown_overattributed"),
+            query_latency,
+            st_fetch_hist: registry.histogram("heaven.st_fetch_hist_s"),
+            st_fetch_bytes_hist: registry.histogram("heaven.st_fetch_bytes"),
             coalesced_fetches: registry.counter("sched.coalesced_fetches"),
             batches: registry.counter("sched.batches"),
             batched_fetches: registry.counter("sched.batched_fetches"),
@@ -121,8 +168,28 @@ impl ConcMetrics {
             stalls: registry.counter("sched.stalls"),
             queue_wait: registry.histogram("sched.queue_wait_s"),
             service: registry.histogram("sched.service_s"),
-            query_latency,
         }
+    }
+
+    fn stats(&self) -> HeavenStats {
+        HeavenStats {
+            st_tape_fetches: self.st_tape_fetches.get(),
+            st_tape_bytes: self.st_tape_bytes.get(),
+            prefetches: self.prefetches.get(),
+            prefetch_s: self.prefetch_s.get(),
+            prefetch_bytes: self.prefetch_bytes.get(),
+            region_fetches: self.region_fetches.get(),
+            bytes_copied: self.bytes_copied.get(),
+        }
+    }
+
+    /// Count one tertiary fetch of `bytes` that took `dt` simulated
+    /// seconds (a whole payload or a sparse member read).
+    fn note_tape_fetch(&self, bytes: u64, dt: f64) {
+        self.st_tape_fetches.inc();
+        self.st_tape_bytes.add(bytes);
+        self.st_fetch_bytes_hist.observe(bytes as f64);
+        self.st_fetch_hist.observe(dt);
     }
 }
 
@@ -477,18 +544,15 @@ impl FetchBatcher {
                                 continue;
                             }
                         }
-                        h.metrics.st_tape_fetches.inc();
-                        h.metrics.st_tape_bytes.add(r.addr.len);
-                        let refetch = store.estimate_read_s(r.addr);
-                        match h.maybe_decompress(r.st, raw) {
+                        // Decompose the fetch's latency: queue =
+                        // enqueue → this round's staging start (backoffs
+                        // and earlier passes included), service =
+                        // staging start → notify.
+                        let queue_s = (t0 - p.enqueue_s).max(0.0);
+                        let service_s = (done_s - t0).max(0.0);
+                        let refetch_s = store.estimate_read_s(r.addr);
+                        match h.admit(r.st, r.addr, raw, service_s, refetch_s) {
                             Ok(payload) => {
-                                h.st_cache.put(r.st, payload.clone(), refetch);
-                                // Decompose the fetch's latency: queue =
-                                // enqueue → this round's staging start
-                                // (backoffs and earlier passes included),
-                                // service = staging start → notify.
-                                let queue_s = (t0 - p.enqueue_s).max(0.0);
-                                let service_s = (done_s - t0).max(0.0);
                                 h.metrics.queue_wait.observe(queue_s);
                                 h.metrics.service.observe(service_s);
                                 self.resolve(
@@ -587,27 +651,27 @@ impl FetchBatcher {
     }
 }
 
-/// The `Send + Sync` multi-session HEAVEN system.
+/// The `Send + Sync` HEAVEN retrieval engine.
 ///
-/// Built from a fully assembled [`Heaven`] via
-/// [`Heaven::into_concurrent`]. Query state that sessions share mutably
-/// sits behind interior synchronization: the array DBMS and the tape
-/// store behind mutexes (the DBMS for its buffer pool, the store because
-/// the tape library is physically serial), the catalog behind a reader/
-/// writer lock (read-mostly), and both caches lock-striped internally.
+/// Obtained from a built system with [`Heaven::into_concurrent`], or used
+/// in place through a [`Heaven`] (which dereferences to it). Sessions
+/// opened with [`ConcurrentHeaven::session`] need only `&self`.
+///
+/// [`Heaven`]: crate::system::Heaven
+/// [`Heaven::into_concurrent`]: crate::system::Heaven::into_concurrent
 #[derive(Debug)]
 pub struct ConcurrentHeaven {
-    adb: Mutex<ArrayDb>,
-    store: Mutex<DirectStore>,
-    catalog: RwLock<SuperTileCatalog>,
-    tile_cache: TileCache,
-    st_cache: SuperTileCache,
+    pub(crate) adb: Mutex<ArrayDb>,
+    pub(crate) store: Mutex<DirectStore>,
+    pub(crate) catalog: SuperTileCatalog,
+    pub(crate) tile_cache: TileCache,
+    pub(crate) st_cache: SuperTileCache,
     batcher: FetchBatcher,
-    config: HeavenConfig,
+    pub(crate) config: HeavenConfig,
     registry: MetricsRegistry,
-    bus: TraceBus,
+    pub(crate) bus: TraceBus,
     clock: SimClock,
-    metrics: ConcMetrics,
+    pub(crate) metrics: HeavenMetrics,
     recovery: RecoveryMetrics,
     /// Monotone session-id source; ids key trace records (`"session":N`)
     /// and the profiler's per-session lanes.
@@ -615,26 +679,44 @@ pub struct ConcurrentHeaven {
 }
 
 impl ConcurrentHeaven {
-    /// Convert a built system (see [`Heaven::into_concurrent`]).
-    pub fn from_heaven(heaven: Heaven) -> ConcurrentHeaven {
-        let (adb, store, catalog, tile_cache, st_cache, config, registry, bus) =
-            heaven.into_concurrent_parts();
-        let clock = store.clock();
-        let metrics = ConcMetrics::new(&registry);
-        let recovery = RecoveryMetrics::new(&registry);
+    /// Assemble the engine from an array DBMS and a tape library: every
+    /// subsystem's counters bind into one shared [`MetricsRegistry`], and
+    /// the trace bus selected by [`HeavenConfig::trace`] is attached
+    /// across the hierarchy.
+    pub(crate) fn new(
+        mut adb: ArrayDb,
+        library: TapeLibrary,
+        config: HeavenConfig,
+    ) -> ConcurrentHeaven {
+        let registry = MetricsRegistry::new();
+        let bus = TraceBus::from_config(&config.trace);
+        let clock = library.clock().clone();
+        let mut st_cache = SuperTileCache::with_shards(
+            config.disk_cache_bytes,
+            config.eviction,
+            Some((DiskProfile::scsi2003(), clock.clone())),
+            config.cache_shards,
+        );
+        st_cache.attach_obs(&registry, bus.clone());
+        let mut tile_cache = TileCache::with_shards(config.mem_cache_bytes, config.cache_shards);
+        tile_cache.attach_obs(&registry);
+        adb.attach_obs(&registry);
+        adb.attach_trace(bus.clone());
+        let mut store = DirectStore::new(library);
+        store.library_mut().attach_obs(&registry, bus.clone());
         ConcurrentHeaven {
             adb: Mutex::new(adb),
             store: Mutex::new(store),
-            catalog: RwLock::new(catalog),
+            catalog: SuperTileCatalog::new(),
             tile_cache,
             st_cache,
             batcher: FetchBatcher::new(Duration::from_millis(2)),
             config,
+            metrics: HeavenMetrics::new(&registry),
+            recovery: RecoveryMetrics::new(&registry),
             registry,
             bus,
             clock,
-            metrics,
-            recovery,
             next_session: AtomicU64::new(1),
         }
     }
@@ -662,9 +744,26 @@ impl ConcurrentHeaven {
     }
 
     /// Arm (or disarm, with `None`) deterministic fault injection on the
-    /// shared library — the concurrent twin of [`Heaven::set_fault_plan`].
+    /// shared library (see [`heaven_tape::FaultConfig`]). Typically
+    /// combined with [`HeavenConfig::dual_copy`] so injected failures are
+    /// recoverable.
     pub fn set_fault_plan(&self, config: Option<heaven_tape::FaultConfig>) {
         self.store.lock().library_mut().set_fault_plan(config);
+    }
+
+    /// The array DBMS (locked for the guard's lifetime).
+    pub fn arraydb(&self) -> MutexGuard<'_, ArrayDb> {
+        self.adb.lock()
+    }
+
+    /// The direct tertiary store (locked for the guard's lifetime).
+    pub fn store(&self) -> MutexGuard<'_, DirectStore> {
+        self.store.lock()
+    }
+
+    /// The super-tile catalog (read-only).
+    pub fn catalog(&self) -> &SuperTileCatalog {
+        &self.catalog
     }
 
     /// The shared simulated clock (re-joined by every finished session).
@@ -672,7 +771,8 @@ impl ConcurrentHeaven {
         self.clock.clone()
     }
 
-    /// The shared metrics registry.
+    /// The shared metrics registry holding every subsystem's counters
+    /// (tape, HSM, buffer pool, caches, HEAVEN itself).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.registry
     }
@@ -685,6 +785,11 @@ impl ConcurrentHeaven {
     /// The active configuration.
     pub fn config(&self) -> &HeavenConfig {
         &self.config
+    }
+
+    /// HEAVEN-level statistics (a view over the metrics registry).
+    pub fn stats(&self) -> HeavenStats {
+        self.metrics.stats()
     }
 
     /// Tertiary-storage statistics.
@@ -707,44 +812,485 @@ impl ConcurrentHeaven {
         self.tile_cache.stats()
     }
 
-    /// Clear both cache levels (between experiment phases).
+    /// Clear both cache levels (between experiment runs).
     pub fn clear_caches(&self) {
         self.tile_cache.clear();
         self.st_cache.clear();
     }
 
-    /// Undo payload compression on wire bytes read from tape (zero-copy
-    /// when compression is off or the payload shipped raw) — the
-    /// concurrent twin of `Heaven::maybe_decompress`. The catalogued
-    /// uncompressed length of `st` disambiguates untagged raw
-    /// pass-through from legacy pre-frame RLE streams.
-    fn maybe_decompress(&self, st: SuperTileId, bytes: Bytes) -> Result<Bytes> {
-        if !self.config.compress {
-            return Ok(bytes);
+    /// The effective super-tile target size for export.
+    pub fn supertile_target(&self) -> u64 {
+        self.config.supertile_bytes.unwrap_or_else(|| {
+            optimal_supertile_size(
+                self.store.lock().library().profile(),
+                self.config.expected_query_bytes,
+            )
+        })
+    }
+
+    // -- the retrieval path (paper §3.5.2) -----------------------------------
+
+    /// Fetch one tile through the hierarchy (memory → disk → tape).
+    pub fn fetch_tile(&self, tile: TileId) -> Result<Tile> {
+        if let Some(t) = self.tile_cache.get(tile) {
+            return Ok(t);
         }
-        let expected = self.catalog.read().meta(st)?.total_len;
-        let (out, codec) = heaven_array::decode_wire(&bytes, expected)
-            .map_err(|e| HeavenError::Codec(format!("corrupt compressed super-tile: {e}")))?;
-        if codec != heaven_array::Codec::Raw {
-            self.metrics.bytes_copied.add(out.len() as u64);
+        let loc = self.adb.lock().tile_location(tile)?;
+        let t = match loc {
+            TileLocation::Disk => self.adb.lock().read_tile(tile)?,
+            TileLocation::Exported => {
+                let st = self.catalog.supertile_of(tile)?;
+                let payload = self.supertile_payload(&self.clock, st)?;
+                decode_member(self.catalog.meta(st)?, &payload, tile)?
+            }
+        };
+        self.tile_cache.put(t.clone());
+        Ok(t)
+    }
+
+    /// Materialize `region` of `oid` across the whole hierarchy, charging
+    /// overlappable work to `lane` (the shared clock for the single
+    /// owner, a session's private lane otherwise). The tertiary misses
+    /// go through the cross-session batcher when `batched`, else through
+    /// the direct path (per-query scheduling, sparse reads, prefetch).
+    pub(crate) fn fetch_region_on(
+        &self,
+        lane: &SimClock,
+        oid: ObjectId,
+        region: &Minterval,
+        batched: bool,
+    ) -> Result<MDArray> {
+        self.metrics.region_fetches.inc();
+        let meta = self.adb.lock().object(oid)?.clone();
+        let target = meta.domain.intersection(region).ok_or_else(|| {
+            HeavenError::Config(format!(
+                "region {region} outside object domain {}",
+                meta.domain
+            ))
+        })?;
+        let mut out = MDArray::zeros(target.clone(), meta.cell_type);
+        // Classify needed tiles: cached and DBMS-resident tiles patch in
+        // now, exported ones are grouped by super-tile.
+        let mut pending: BTreeMap<SuperTileId, Vec<TileId>> = BTreeMap::new();
+        for tid in meta.tiles_intersecting(&target) {
+            if let Some(t) = self.tile_cache.get(tid) {
+                self.patch(&mut out, &t.data)?;
+                continue;
+            }
+            let mut adb = self.adb.lock();
+            match adb.tile_location(tid)? {
+                TileLocation::Disk => {
+                    let t = adb.read_tile(tid)?;
+                    drop(adb);
+                    self.patch(&mut out, &t.data)?;
+                    self.tile_cache.put(t);
+                }
+                TileLocation::Exported => {
+                    drop(adb);
+                    let st = self.catalog.supertile_of(tid)?;
+                    pending.entry(st).or_default().push(tid);
+                }
+            }
+        }
+        if batched {
+            let sts: Vec<SuperTileId> = pending.keys().copied().collect();
+            let payloads = self.stage_batched(lane, &sts)?;
+            for ((st, tids), payload) in pending.iter().zip(payloads) {
+                self.patch_members(&mut out, self.catalog.meta(*st)?, &payload, tids)?;
+            }
+        } else {
+            self.stage_direct(lane, &pending, &mut out)?;
+            self.run_prefetch(lane, oid, &pending)?;
         }
         Ok(out)
     }
 
-    /// Record the memcpy performed by patching `src` into `out`.
-    fn note_patch_copy(&self, out: &MDArray, src: &MDArray) {
+    /// Patch `src` into `out`, recording the memcpy (the overlap region)
+    /// in the `heaven.bytes_copied` metric.
+    fn patch(&self, out: &mut MDArray, src: &MDArray) -> Result<()> {
         if let Some(ov) = out.domain().intersection(src.domain()) {
             self.metrics
                 .bytes_copied
                 .add(ov.cell_count() * out.cell_type().size_bytes() as u64);
         }
+        out.patch(src)?;
+        Ok(())
+    }
+
+    /// Decode the member tiles `tids` of a staged super-tile, patch them
+    /// into `out` and cache them.
+    fn patch_members(
+        &self,
+        out: &mut MDArray,
+        meta: &SuperTileMeta,
+        payload: &Bytes,
+        tids: &[TileId],
+    ) -> Result<()> {
+        for &tid in tids {
+            let t = decode_member(meta, payload, tid)?;
+            self.patch(out, &t.data)?;
+            self.tile_cache.put(t);
+        }
+        Ok(())
+    }
+
+    /// The direct path: stage one query's super-tiles — cached ones
+    /// first, then the tape misses in the scheduler's order — and patch
+    /// their member tiles into `out`.
+    fn stage_direct(
+        &self,
+        lane: &SimClock,
+        pending: &BTreeMap<SuperTileId, Vec<TileId>>,
+        out: &mut MDArray,
+    ) -> Result<()> {
+        if pending.is_empty() {
+            return Ok(());
+        }
+        let (ordered, random_access) = {
+            let store = self.store.lock();
+            let mut ordered: Vec<SuperTileId> = Vec::new();
+            let mut to_fetch = Vec::new();
+            for &st in pending.keys() {
+                if self.st_cache.contains(st) {
+                    ordered.push(st);
+                } else {
+                    to_fetch.push(FetchRequest {
+                        st,
+                        addr: self.catalog.address(st)?,
+                    });
+                }
+            }
+            let cached = ordered.len();
+            let mounted = store.library().mounted_media();
+            let (order, policy) = if self.config.scheduling {
+                (schedule(&to_fetch, &mounted), "scheduled")
+            } else {
+                (to_fetch, "request-order")
+            };
+            self.note_schedule(&store, lane, &order, &mounted, cached, policy);
+            ordered.extend(order.iter().map(|r| r.st));
+            // Partial reads need the uncompressed on-media layout; they
+            // also bypass the whole-payload checksum, so under fault
+            // injection we fall back to full (verifiable) fetches.
+            let random_access = !store.library().profile().linear_seek
+                && !self.config.compress
+                && !store.faults_enabled();
+            (ordered, random_access)
+        };
+        for st in ordered {
+            let meta = self.catalog.meta(st)?;
+            let tids = &pending[&st];
+            // On random-access media (MO jukeboxes) a sparse request reads
+            // only the member tiles, not the whole super-tile — the medium
+            // has no locate penalty to amortize (paper §2.2).
+            let needed_bytes: u64 = tids
+                .iter()
+                .filter_map(|t| meta.member(*t))
+                .map(|m| m.len)
+                .sum();
+            if random_access && !self.st_cache.contains(st) && needed_bytes * 2 < meta.total_len {
+                self.read_sparse(lane, meta, tids, needed_bytes, out)?;
+            } else {
+                let payload = self.supertile_payload(lane, st)?;
+                self.patch_members(out, meta, &payload, tids)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Emit the scheduler-decision event: how many super-tiles go to tape,
+    /// how many are already staged, and the media-exchange estimate for
+    /// the chosen order.
+    pub(crate) fn note_schedule(
+        &self,
+        store: &DirectStore,
+        lane: &SimClock,
+        order: &[FetchRequest],
+        mounted: &[MediumId],
+        cached: usize,
+        policy: &'static str,
+    ) {
+        if !self.bus.is_enabled() || (order.is_empty() && cached == 0) {
+            return;
+        }
+        let est = count_exchanges(order, store.library().drive_count(), mounted);
+        self.bus.event(
+            "heaven.schedule",
+            lane.now_s(),
+            &[
+                ("tape_fetches", order.len().into()),
+                ("cached", cached.into()),
+                ("policy", policy.into()),
+                ("exchanges_est", est.into()),
+            ],
+        );
+    }
+
+    /// Read only the member tiles `tids` of super-tile `meta` (random-
+    /// access media), patch them into `out` and cache them. Counts as one
+    /// tertiary fetch of the member bytes; nothing enters the disk cache.
+    fn read_sparse(
+        &self,
+        lane: &SimClock,
+        meta: &SuperTileMeta,
+        tids: &[TileId],
+        needed_bytes: u64,
+        out: &mut MDArray,
+    ) -> Result<()> {
+        let addr = self.catalog.address(meta.id)?;
+        let span = self.bus.span(
+            "heaven.st_fetch",
+            lane.now_s(),
+            &[
+                ("st", meta.id.into()),
+                ("bytes", needed_bytes.into()),
+                ("medium", addr.medium.into()),
+                ("sparse", 1u64.into()),
+            ],
+        );
+        let (members, dt) = {
+            let mut store = self.store.lock();
+            let t0 = store.clock().now_s();
+            let members = tids
+                .iter()
+                .map(|&tid| {
+                    let m = meta.member(tid).ok_or(HeavenError::TileUnlocated(tid))?;
+                    Ok(store.read_range(addr, m.offset, m.len)?)
+                })
+                .collect::<Result<Vec<Bytes>>>()?;
+            let t1 = store.clock().now_s();
+            lane.advance_to_s(t1);
+            (members, t1 - t0)
+        };
+        for bytes in members {
+            let (t, _) = Tile::decode_shared(&bytes, 0).map_err(HeavenError::Array)?;
+            self.patch(out, &t.data)?;
+            self.tile_cache.put(t);
+        }
+        self.metrics.note_tape_fetch(needed_bytes, dt);
+        span.end(lane.now_s());
+        Ok(())
+    }
+
+    /// A super-tile's payload, *uncompressed*: a disk-cache hit (charged
+    /// to `lane`) or a demand fetch from tape inside a `heaven.st_fetch`
+    /// span. The returned handle aliases the cache entry (and, on a cold
+    /// fetch without compression, the tape segment itself) — no payload
+    /// copies.
+    pub(crate) fn supertile_payload(&self, lane: &SimClock, st: SuperTileId) -> Result<Bytes> {
+        if let Some(p) = self.st_cache.get_clocked(st, lane) {
+            return Ok(p);
+        }
+        let addr = self.catalog.address(st)?;
+        let span = self.bus.span(
+            "heaven.st_fetch",
+            lane.now_s(),
+            &[
+                ("st", st.into()),
+                ("bytes", addr.len.into()),
+                ("medium", addr.medium.into()),
+            ],
+        );
+        let result = self.stage(lane, st);
+        span.end(lane.now_s());
+        result
+    }
+
+    /// Stage one super-tile from tertiary storage: the full recovery
+    /// ladder (retry, failover, dual copy) under the store lock, then
+    /// [`Self::admit`]. `lane` is fast-forwarded to the read's completion.
+    pub(crate) fn stage(&self, lane: &SimClock, st: SuperTileId) -> Result<Bytes> {
+        let addr = self.catalog.address(st)?;
+        let (raw, dt, refetch_s) = {
+            let mut store = self.store.lock();
+            let t0 = store.clock().now_s();
+            let raw = read_with_recovery(
+                &mut store,
+                st,
+                addr,
+                self.catalog.replica(st),
+                self.catalog.checksum(st),
+                &self.config.retry,
+                &self.recovery,
+                &self.bus,
+            )?;
+            let t1 = store.clock().now_s();
+            lane.advance_to_s(t1);
+            (raw, t1 - t0, store.estimate_read_s(addr))
+        };
+        self.admit(st, addr, raw, dt, refetch_s)
+    }
+
+    /// Admit a verified tape payload of `st` (read from `addr` in `dt`
+    /// simulated seconds) into the hierarchy: count the fetch, observe
+    /// the fetch histograms, undo the wire codec and cache the payload
+    /// with its refetch cost. Every tertiary payload enters here.
+    ///
+    /// The catalogued uncompressed length disambiguates untagged raw
+    /// pass-through (wire length equals it) from legacy pre-frame RLE
+    /// streams, keeping the raw path O(1); it is zero-copy when
+    /// compression is off or the payload shipped raw.
+    fn admit(
+        &self,
+        st: SuperTileId,
+        addr: BlockAddress,
+        raw: Bytes,
+        dt: f64,
+        refetch_s: f64,
+    ) -> Result<Bytes> {
+        self.metrics.note_tape_fetch(addr.len, dt);
+        let payload = if self.config.compress {
+            let expected = self.catalog.meta(st)?.total_len;
+            let (out, codec) = heaven_array::decode_wire(&raw, expected)
+                .map_err(|e| HeavenError::Codec(format!("corrupt compressed super-tile: {e}")))?;
+            if codec != Codec::Raw {
+                self.metrics.bytes_copied.add(out.len() as u64);
+            }
+            out
+        } else {
+            raw
+        };
+        self.st_cache.put(st, payload.clone(), refetch_s);
+        Ok(payload)
+    }
+
+    /// Prefetch successor super-tiles in cluster order (paper §3.6).
+    /// Best-effort: a super-tile that can't be staged now simply stays
+    /// on tape for the demand path to recover.
+    fn run_prefetch(
+        &self,
+        lane: &SimClock,
+        oid: ObjectId,
+        touched: &BTreeMap<SuperTileId, Vec<TileId>>,
+    ) -> Result<()> {
+        let PrefetchPolicy::NextInOrder(n) = self.config.prefetch else {
+            return Ok(());
+        };
+        let Some((&max_touched, _)) = touched.last_key_value() else {
+            return Ok(());
+        };
+        let order = self.catalog.object_supertiles(oid);
+        let Some(pos) = order.iter().position(|&s| s == max_touched) else {
+            return Ok(());
+        };
+        for &st in order.iter().skip(pos + 1).take(n) {
+            if self.st_cache.contains(st) {
+                continue;
+            }
+            let t0 = lane.now_s();
+            let bytes = self.catalog.address(st)?.len;
+            self.bus.event(
+                "heaven.prefetch.issue",
+                t0,
+                &[("st", st.into()), ("bytes", bytes.into())],
+            );
+            if self.stage(lane, st).is_err() {
+                continue;
+            }
+            let t1 = lane.now_s();
+            self.metrics.prefetches.inc();
+            self.metrics.prefetch_s.add(t1 - t0);
+            self.metrics.prefetch_bytes.add(bytes);
+            self.bus.event(
+                "heaven.prefetch.complete",
+                t1,
+                &[
+                    ("st", st.into()),
+                    ("bytes", bytes.into()),
+                    ("dur_s", (t1 - t0).into()),
+                ],
+            );
+        }
+        Ok(())
+    }
+
+    /// The batched path: stage the payloads of one query's super-tiles
+    /// `sts`, in order. Striped-cache hits are charged to `lane`; the
+    /// misses go to tertiary storage as **one** cross-session batch
+    /// request, which runs the full recovery ladder under faults. A
+    /// failed super-tile fails the query only once every one of its
+    /// fetches has resolved.
+    ///
+    /// Each tertiary fetch gets a `heaven.st_fetch` span that **links** to
+    /// the shared `sched.batch` span that staged the payload (the
+    /// cross-session causal edge) and emits a `sched.served` event
+    /// carrying the queue/service decomposition, so `heaven-prof
+    /// critical-path` can attribute this session's wait to the shared
+    /// fetch. The lane ends at the latest completion.
+    fn stage_batched(&self, lane: &SimClock, sts: &[SuperTileId]) -> Result<Vec<Bytes>> {
+        let mut out: Vec<Option<Bytes>> = sts
+            .iter()
+            .map(|&st| self.st_cache.get_clocked(st, lane))
+            .collect();
+        let mut slots = Vec::new();
+        let mut reqs = Vec::new();
+        for (i, &st) in sts.iter().enumerate().filter(|&(i, _)| out[i].is_none()) {
+            slots.push(i);
+            reqs.push(PendingFetch {
+                req: FetchRequest {
+                    st,
+                    addr: self.catalog.address(st)?,
+                },
+                attempt: 0,
+                on_replica: false,
+                replica: self.catalog.replica(st),
+                checksum: self.catalog.checksum(st),
+                enqueue_s: 0.0, // stamped at registration, under the lock
+                drains: 0,
+                stalled: false,
+            });
+        }
+        if reqs.is_empty() {
+            return Ok(out.into_iter().map(|p| p.expect("cached")).collect());
+        }
+        let mut failed = None;
+        for (i, (outcome, coalesced)) in slots.into_iter().zip(self.batcher.fetch(self, reqs)) {
+            let st = sts[i];
+            let span = self.bus.span_start(
+                "heaven.st_fetch",
+                lane.now_s(),
+                &[("st", st.into()), ("batched", 1u64.into())],
+            );
+            match outcome {
+                Ok(served) => {
+                    self.bus.link(
+                        "sched.link",
+                        served.done_s,
+                        span,
+                        served.batch_span,
+                        &[("st", st.into()), ("coalesced", (coalesced as u64).into())],
+                    );
+                    self.bus.event(
+                        "sched.served",
+                        served.done_s,
+                        &[
+                            ("st", st.into()),
+                            ("queue_s", served.queue_s.into()),
+                            ("service_s", served.service_s.into()),
+                            ("batch", served.batch_span.into()),
+                            ("coalesced", (coalesced as u64).into()),
+                        ],
+                    );
+                    lane.advance_to_s(served.done_s);
+                    out[i] = Some(served.payload);
+                }
+                Err(f) => {
+                    failed.get_or_insert(f);
+                }
+            }
+            self.bus.span_end(span, lane.now_s());
+        }
+        match failed {
+            Some(f) => Err(f.into_error()),
+            None => Ok(out.into_iter().map(|p| p.expect("staged")).collect()),
+        }
     }
 }
 
-/// One query session: a handle on the shared system plus a private
+/// One query session: a handle on the shared engine plus a private
 /// simulated-time lane. Overlappable work (disk-cache I/O, decode) is
 /// charged to the lane; the shared tape library charges the shared clock
-/// and waiters fast-forward their lanes to the staging completion.
+/// and the lane fast-forwards to each tertiary completion.
 #[derive(Debug)]
 pub struct Session<'h> {
     h: &'h ConcurrentHeaven,
@@ -768,8 +1314,9 @@ impl Session<'_> {
         &self.lane
     }
 
-    /// Materialize `region` of `oid` across the hierarchy — the
-    /// multi-session twin of [`Heaven::fetch_region_hierarchical`].
+    /// Materialize `region` of `oid` across the hierarchy — the session
+    /// form of `Heaven::fetch_region_hierarchical`, batched across
+    /// sessions when [`HeavenConfig::cross_session_batching`] is on.
     ///
     /// Opens a root `query` span stamped with this session's id, and
     /// observes `heaven.query_latency_s` with the span as the histogram
@@ -778,14 +1325,18 @@ impl Session<'_> {
     /// sampling's divert flag is bus-global and concurrent sessions
     /// would race it.)
     pub fn fetch_region(&self, oid: ObjectId, region: &Minterval) -> Result<MDArray> {
-        self.h.metrics.region_fetches.inc();
         self.h.bus.set_session(self.id);
         let start_s = self.lane.now_s();
         let span = self
             .h
             .bus
             .span_start("query", start_s, &[("oid", oid.into())]);
-        let res = self.fetch_region_inner(oid, region);
+        let res = self.h.fetch_region_on(
+            &self.lane,
+            oid,
+            region,
+            self.h.config.cross_session_batching,
+        );
         let end_s = self.lane.now_s();
         self.h.bus.span_end(span, end_s);
         self.h
@@ -793,189 +1344,6 @@ impl Session<'_> {
             .query_latency
             .observe_with_exemplar((end_s - start_s).max(0.0), span, span);
         res
-    }
-
-    fn fetch_region_inner(&self, oid: ObjectId, region: &Minterval) -> Result<MDArray> {
-        let meta = self.h.adb.lock().object(oid)?.clone();
-        let target = meta.domain.intersection(region).ok_or_else(|| {
-            HeavenError::Config(format!(
-                "region {region} outside object domain {}",
-                meta.domain
-            ))
-        })?;
-        let mut out = MDArray::zeros(target.clone(), meta.cell_type);
-        let mut pending: BTreeMap<SuperTileId, Vec<TileId>> = BTreeMap::new();
-        for tid in meta.tiles_intersecting(&target) {
-            if let Some(t) = self.h.tile_cache.get(tid) {
-                self.h.note_patch_copy(&out, &t.data);
-                out.patch(&t.data)?;
-                continue;
-            }
-            let loc = self.h.adb.lock().tile_location(tid)?;
-            match loc {
-                TileLocation::Disk => {
-                    let t = self.h.adb.lock().read_tile(tid)?;
-                    self.h.note_patch_copy(&out, &t.data);
-                    out.patch(&t.data)?;
-                    self.h.tile_cache.put(t);
-                }
-                TileLocation::Exported => {
-                    let st = self.h.catalog.read().supertile_of(tid)?;
-                    pending.entry(st).or_default().push(tid);
-                }
-            }
-        }
-        let sts: Vec<SuperTileId> = pending.keys().copied().collect();
-        let payloads = self.supertile_payloads(&sts)?;
-        for ((st, tids), payload) in pending.into_iter().zip(payloads) {
-            let meta_st = self.h.catalog.read().meta(st)?.clone();
-            for tid in tids {
-                let t = decode_member(&meta_st, &payload, tid)?;
-                self.h.note_patch_copy(&out, &t.data);
-                out.patch(&t.data)?;
-                self.h.tile_cache.put(t);
-            }
-        }
-        Ok(out)
-    }
-
-    /// Stage the payloads of one query's super-tiles `sts`, in order:
-    /// striped-cache hits are charged to this session's lane, and the
-    /// misses go to tertiary storage — all of them as **one** cross-session
-    /// batch request, or one by one over per-session FIFO when batching is
-    /// off. Either path runs the full recovery ladder (retry, failover,
-    /// dual-copy) under faults; on the batched path a failed super-tile
-    /// fails the query only once every one of its fetches has resolved.
-    ///
-    /// Each tertiary fetch gets a `heaven.st_fetch` span. On the batched
-    /// path the span **links** to the shared `sched.batch` span that
-    /// staged the payload (the cross-session causal edge) and emits a
-    /// `sched.served` event carrying the queue/service decomposition, so
-    /// `heaven-prof critical-path` can attribute this session's wait to
-    /// the shared fetch. The lane ends at the latest completion.
-    fn supertile_payloads(&self, sts: &[SuperTileId]) -> Result<Vec<Bytes>> {
-        let mut out: Vec<Option<Bytes>> = sts
-            .iter()
-            .map(|&st| self.h.st_cache.get_clocked(st, &self.lane))
-            .collect();
-        let mut misses = Vec::new();
-        for (i, &st) in sts.iter().enumerate().filter(|&(i, _)| out[i].is_none()) {
-            let cat = self.h.catalog.read();
-            let p = PendingFetch {
-                req: FetchRequest {
-                    st,
-                    addr: cat.address(st)?,
-                },
-                attempt: 0,
-                on_replica: false,
-                replica: cat.replica(st),
-                checksum: cat.checksum(st),
-                enqueue_s: 0.0, // stamped at registration, under the lock
-                drains: 0,
-                stalled: false,
-            };
-            misses.push((i, p));
-        }
-        let batched = self.h.config.cross_session_batching;
-        let open_span = |st: SuperTileId| {
-            self.h.bus.span_start(
-                "heaven.st_fetch",
-                self.lane.now_s(),
-                &[("st", st.into()), ("batched", (batched as u64).into())],
-            )
-        };
-        if !batched {
-            for (i, p) in misses {
-                let span = open_span(p.req.st);
-                let res = self.fifo_payload(p);
-                self.h.bus.span_end(span, self.lane.now_s());
-                out[i] = Some(res?);
-            }
-        } else if !misses.is_empty() {
-            let (slots, reqs): (Vec<usize>, Vec<PendingFetch>) = misses.into_iter().unzip();
-            let mut failed = None;
-            for (i, (outcome, coalesced)) in
-                slots.into_iter().zip(self.h.batcher.fetch(self.h, reqs))
-            {
-                let st = sts[i];
-                let span = open_span(st);
-                match outcome {
-                    Ok(served) => {
-                        self.h.bus.link(
-                            "sched.link",
-                            served.done_s,
-                            span,
-                            served.batch_span,
-                            &[("st", st.into()), ("coalesced", (coalesced as u64).into())],
-                        );
-                        self.h.bus.event(
-                            "sched.served",
-                            served.done_s,
-                            &[
-                                ("st", st.into()),
-                                ("queue_s", served.queue_s.into()),
-                                ("service_s", served.service_s.into()),
-                                ("batch", served.batch_span.into()),
-                                ("coalesced", (coalesced as u64).into()),
-                            ],
-                        );
-                        self.lane.advance_to_s(served.done_s);
-                        out[i] = Some(served.payload);
-                    }
-                    Err(f) => {
-                        failed.get_or_insert(f);
-                    }
-                }
-                self.h.bus.span_end(span, self.lane.now_s());
-            }
-            if let Some(f) = failed {
-                return Err(f.into_error());
-            }
-        }
-        Ok(out.into_iter().map(|p| p.expect("staged")).collect())
-    }
-
-    /// The per-session FIFO tertiary path: mount-and-read in request
-    /// order, holding the store for the whole access (the baseline the
-    /// batcher is measured against). Queue time is zero by construction;
-    /// the whole access is service time.
-    fn fifo_payload(&self, p: PendingFetch) -> Result<Bytes> {
-        let FetchRequest { st, addr } = p.req;
-        let mut store = self.h.store.lock();
-        let t0 = store.clock().now_s();
-        let raw = read_with_recovery(
-            &mut store,
-            st,
-            addr,
-            p.replica,
-            p.checksum,
-            &self.h.config.retry,
-            &self.h.recovery,
-            &self.h.bus,
-        )?;
-        self.h.metrics.st_tape_fetches.inc();
-        self.h.metrics.st_tape_bytes.add(addr.len);
-        let refetch = store.estimate_read_s(addr);
-        let done_s = store.clock().now_s();
-        drop(store);
-        let payload = self.h.maybe_decompress(st, raw)?;
-        self.h.st_cache.put(st, payload.clone(), refetch);
-        let service_s = (done_s - t0).max(0.0);
-        self.h.metrics.queue_wait.observe(0.0);
-        self.h.metrics.service.observe(service_s);
-        self.h.bus.event(
-            "sched.served",
-            done_s,
-            &[
-                ("st", st.into()),
-                ("queue_s", 0.0.into()),
-                ("service_s", service_s.into()),
-                ("batch", 0u64.into()),
-                ("coalesced", 0u64.into()),
-            ],
-        );
-        self.lane.advance_to_s(done_s);
-        Ok(payload)
     }
 }
 
@@ -985,18 +1353,5 @@ impl Drop for Session<'_> {
         // overlapped lane ends.
         self.h.clock.advance_to_s(self.lane.now_s());
         self.h.batcher.close_session();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn concurrent_heaven_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<ConcurrentHeaven>();
-        assert_send_sync::<Session<'static>>();
-        assert_send_sync::<FetchBatcher>();
     }
 }

@@ -109,7 +109,8 @@ pub struct HeavenConfig {
     /// Merge the tertiary fetches of concurrent sessions into shared
     /// scheduled batches (one mount serves every session needing the
     /// medium; duplicate super-tile requests coalesce into one fetch).
-    /// When off, each session stages its own fetches FIFO.
+    /// When off, each session stages its own query's misses, scheduled
+    /// per query as the single owner does.
     pub cross_session_batching: bool,
     /// Dual-copy archival: write every super-tile to two media at export
     /// and fall back to the second copy when the first is unreadable or

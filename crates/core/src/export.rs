@@ -70,7 +70,7 @@ impl Heaven {
     }
 
     fn export_naive(&mut self, oid: ObjectId) -> Result<ExportReport> {
-        let meta = self.adb.object(oid)?.clone();
+        let meta = self.arraydb_mut().object(oid)?.clone();
         let clock = self.clock();
         let span = self.bus.span(
             "export.naive",
@@ -85,20 +85,20 @@ impl Heaven {
         let mut media = Vec::new();
         for (_, tid) in meta.tiles.iter() {
             let t0 = clock.now_s();
-            let tile = self.adb.read_tile(*tid)?;
+            let tile = self.arraydb_mut().read_tile(*tid)?;
             let t1 = clock.now_s();
             let (payload, st_meta) = {
-                let st_id = self.catalog.next_id();
+                let st_id = self.engine.catalog.next_id();
                 encode_supertile(st_id, oid, std::slice::from_ref(&tile))
             };
             raw_bytes += payload.len() as u64;
             let wire = self.maybe_compress(payload, meta.cell_type.size_bytes());
             bytes += wire.len() as u64;
             let checksum = checksum64(&wire);
-            let addr = self.store.append(WritePayload::Real(wire.clone()))?;
+            let addr = self.store_mut().append(WritePayload::Real(wire.clone()))?;
             let replica = if self.config.dual_copy {
                 Some(
-                    self.store
+                    self.store_mut()
                         .append_replica(WritePayload::Real(wire), addr.medium)?,
                 )
             } else {
@@ -121,7 +121,7 @@ impl Heaven {
                 ],
             );
             self.register_supertile(st_meta, addr, replica, checksum)?;
-            self.adb.mark_exported(*tid)?;
+            self.arraydb_mut().mark_exported(*tid)?;
         }
         let elapsed = clock.now_s() - start;
         span.end(clock.now_s());
@@ -140,7 +140,7 @@ impl Heaven {
     }
 
     fn export_tct(&mut self, oid: ObjectId) -> Result<ExportReport> {
-        let meta = self.adb.object(oid)?.clone();
+        let meta = self.arraydb_mut().object(oid)?.clone();
         // Build tile infos with encoded sizes and grid coordinates.
         let (grid, grid_shape) = meta.tiling.tile_grid(&meta.domain, meta.cell_type)?;
         let infos: Vec<TileInfo> = meta
@@ -164,7 +164,7 @@ impl Heaven {
             }
         };
         if self.config.medium_per_object {
-            self.store.open_new_medium();
+            self.store_mut().open_new_medium();
         }
 
         let clock = self.clock();
@@ -197,11 +197,11 @@ impl Heaven {
                 }
             });
             for group in &partition {
-                let st_id = self.catalog.next_id();
+                let st_id = self.engine.catalog.next_id();
                 let t0 = clock.now_s();
                 let mut tiles = Vec::with_capacity(group.len());
                 for &gi in group {
-                    tiles.push(self.adb.read_tile(infos[gi].id)?);
+                    tiles.push(self.arraydb_mut().read_tile(infos[gi].id)?);
                 }
                 let t1 = clock.now_s();
                 self.record_precomp_tiles(oid, &tiles);
@@ -215,12 +215,12 @@ impl Heaven {
                 let wire = self.maybe_compress(payload, meta.cell_type.size_bytes());
                 bytes += wire.len() as u64;
                 let checksum = checksum64(&wire);
-                let addr = self.store.append(WritePayload::Real(wire.clone()))?;
+                let addr = self.store_mut().append(WritePayload::Real(wire.clone()))?;
                 // The second copy is deliberately kept off the primary's
                 // medium so one dead tape can't take both.
                 let replica = if self.config.dual_copy {
                     Some(
-                        self.store
+                        self.store_mut()
                             .append_replica(WritePayload::Real(wire), addr.medium)?,
                     )
                 } else {
@@ -244,7 +244,7 @@ impl Heaven {
                     ],
                 );
                 for m in &st_meta.members {
-                    self.adb.mark_exported(m.tile)?;
+                    self.arraydb_mut().mark_exported(m.tile)?;
                 }
                 self.register_supertile(st_meta, addr, replica, checksum)?;
             }

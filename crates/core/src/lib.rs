@@ -12,8 +12,9 @@
 //! * [`sizing`] — automatic super-tile size adaptation (§3.3.4);
 //! * [`export`] — naive vs. decoupled-TCT export with intra-/inter-
 //!   super-tile clustering (§3.4);
-//! * [`system`] + [`scheduler`] — hierarchy-transparent retrieval with
-//!   query scheduling (§3.5);
+//! * [`concurrent`] + [`system`] + [`scheduler`] — hierarchy-transparent
+//!   retrieval with query scheduling (§3.5): one engine serves both the
+//!   single owner and concurrent sessions;
 //! * [`cache`] — the caching hierarchy with pluggable eviction (§3.7);
 //! * [`maintenance`] — delete / update / re-import / media reclamation and
 //!   prefetching (§3.6);

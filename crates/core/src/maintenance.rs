@@ -21,7 +21,7 @@ impl Heaven {
 
     /// Dead fraction of a medium (`0.0` for an unused medium).
     pub fn dead_fraction(&self, medium: MediumId) -> f64 {
-        let used = self.store.library().medium_used(medium).unwrap_or(0);
+        let used = self.store().library().medium_used(medium).unwrap_or(0);
         if used == 0 {
             0.0
         } else {
@@ -34,7 +34,7 @@ impl Heaven {
     /// space.
     pub fn delete_object(&mut self, oid: ObjectId) -> Result<()> {
         let tiles: Vec<u64> = self
-            .adb
+            .arraydb_mut()
             .object(oid)?
             .tiles
             .iter()
@@ -51,7 +51,7 @@ impl Heaven {
             *self.dead_bytes.entry(addr.medium).or_insert(0) += addr.len;
         }
         self.precomp.invalidate_object(oid);
-        self.adb.delete_object(oid)?;
+        self.arraydb_mut().delete_object(oid)?;
         Ok(())
     }
 
@@ -62,11 +62,11 @@ impl Heaven {
         if sts.is_empty() {
             return Err(HeavenError::NotExported(oid));
         }
+        let clock = self.clock();
         for st in sts {
-            let payload = self.supertile_payload(st)?;
-            let meta = self.catalog.meta(st)?.clone();
-            for tile in decode_all(&meta, &payload)? {
-                self.adb.restore_tile(&tile)?;
+            let payload = self.supertile_payload(&clock, st)?;
+            for tile in decode_all(self.catalog.meta(st)?, &payload)? {
+                self.arraydb_mut().restore_tile(&tile)?;
             }
             self.st_cache.invalidate(st);
         }
@@ -83,7 +83,7 @@ impl Heaven {
     /// are patched directly. Precomputed results of the object are
     /// invalidated.
     pub fn update_region(&mut self, oid: ObjectId, patch: &MDArray) -> Result<()> {
-        let meta = self.adb.object(oid)?.clone();
+        let meta = self.arraydb_mut().object(oid)?.clone();
         if meta.cell_type != patch.cell_type() {
             return Err(HeavenError::Config(format!(
                 "update cell type {} does not match object {}",
@@ -96,11 +96,11 @@ impl Heaven {
         let mut by_st: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
         for tid in affected {
             self.tile_cache.invalidate(tid);
-            match self.adb.tile_location(tid)? {
+            match self.arraydb_mut().tile_location(tid)? {
                 heaven_arraydb::TileLocation::Disk => {
-                    let mut tile = self.adb.read_tile(tid)?;
+                    let mut tile = self.arraydb_mut().read_tile(tid)?;
                     tile.data.patch(patch)?;
-                    self.adb.restore_tile(&tile)?;
+                    self.arraydb_mut().restore_tile(&tile)?;
                 }
                 heaven_arraydb::TileLocation::Exported => {
                     let st = self.catalog.supertile_of(tid)?;
@@ -108,24 +108,24 @@ impl Heaven {
                 }
             }
         }
+        let clock = self.clock();
         for (st, _) in by_st {
-            let payload = self.supertile_payload(st)?;
-            let st_meta = self.catalog.meta(st)?.clone();
-            let mut tiles = decode_all(&st_meta, &payload)?;
+            let payload = self.supertile_payload(&clock, st)?;
+            let mut tiles = decode_all(self.catalog.meta(st)?, &payload)?;
             for t in tiles.iter_mut() {
                 if t.domain().intersects(patch.domain()) {
                     t.data.patch(patch)?;
                 }
             }
             // Write the new version under a fresh id.
-            let new_id = self.catalog.next_id();
+            let new_id = self.engine.catalog.next_id();
             let (new_payload, new_meta) = crate::supertile::encode_supertile(new_id, oid, &tiles);
             let wire = self.maybe_compress(new_payload, meta.cell_type.size_bytes());
             let checksum = crate::supertile::checksum64(&wire);
-            let addr = self.store.append(WritePayload::Real(wire.clone()))?;
+            let addr = self.store_mut().append(WritePayload::Real(wire.clone()))?;
             let replica = if self.config.dual_copy {
                 Some(
-                    self.store
+                    self.store_mut()
                         .append_replica(WritePayload::Real(wire), addr.medium)?,
                 )
             } else {
@@ -151,23 +151,24 @@ impl Heaven {
     /// persisted tables are gone; a full archive scan costs real tape time
     /// (charged to the clock), exactly as it would in an installation.
     pub fn scavenge_catalog_from_media(&mut self) -> Result<usize> {
-        self.catalog = crate::catalog::SuperTileCatalog::new();
-        self.catalog_store.clear(self.adb.database_mut())?;
+        self.engine.catalog = crate::catalog::SuperTileCatalog::new();
+        self.catalog_store
+            .clear(self.engine.adb.get_mut().database_mut())?;
         self.clear_caches();
-        let media = self.store.library().media_ids();
+        let media = self.store_mut().library().media_ids();
         let mut recovered = 0usize;
         let mut live_tiles: std::collections::HashMap<u64, crate::supertile::SuperTileId> =
             Default::default();
         for medium in media {
-            let segments = self.store.library().medium_segments(medium)?;
+            let segments = self.store_mut().library().medium_segments(medium)?;
             for (offset, len) in segments {
-                let raw = self.store.library_mut().read(medium, offset, len)?;
+                let raw = self.store_mut().library_mut().read(medium, offset, len)?;
                 let checksum = crate::supertile::checksum64(&raw);
                 let Some((payload, members, object)) = decode_scavenged(self.config.compress, raw)
                 else {
                     continue;
                 };
-                let st = self.catalog.next_id();
+                let st = self.engine.catalog.next_id();
                 let meta = SuperTileMeta {
                     id: st,
                     object,
@@ -212,8 +213,8 @@ impl Heaven {
         }
         // Tiles found on media are exported (drop any stale disk copies).
         for (&tile, _) in live_tiles.iter() {
-            if self.adb.tile_location(tile).is_ok() {
-                self.adb.mark_exported(tile)?;
+            if self.arraydb_mut().tile_location(tile).is_ok() {
+                self.arraydb_mut().mark_exported(tile)?;
             }
         }
         Ok(recovered)
@@ -231,12 +232,14 @@ impl Heaven {
         // Read every live payload before erasing.
         let mut payloads = Vec::with_capacity(live.len());
         for &(st, addr) in &live {
-            let payload = self.store.read(addr)?;
+            let payload = self.store_mut().read(addr)?;
             payloads.push((st, payload));
         }
-        self.store.library_mut().erase_medium(medium)?;
+        self.store_mut().library_mut().erase_medium(medium)?;
         for (st, payload) in payloads {
-            let addr = self.store.write_to(medium, WritePayload::Real(payload))?;
+            let addr = self
+                .store_mut()
+                .write_to(medium, WritePayload::Real(payload))?;
             self.relocate_supertile(st, addr)?;
         }
         self.dead_bytes.insert(medium, 0);
@@ -349,12 +352,12 @@ mod tests {
     #[test]
     fn legacy_untagged_rle_archive_still_decodes() {
         let (mut heaven, oid) = build(true, |_| 7.0);
-        let tiles = heaven.adb.object(oid).unwrap().tiles.clone();
+        let tiles = heaven.arraydb_mut().object(oid).unwrap().tiles.clone();
         let tile_objs: Vec<_> = tiles
             .iter()
-            .map(|&(_, t)| heaven.adb.read_tile(t).unwrap())
+            .map(|&(_, t)| heaven.arraydb_mut().read_tile(t).unwrap())
             .collect();
-        let st_id = heaven.catalog.next_id();
+        let st_id = heaven.engine.catalog.next_id();
         let (payload, meta) = encode_supertile(st_id, oid, &tile_objs);
         let wire = Bytes::from(heaven_array::codec::baseline::rle_compress(&payload));
         assert!(
@@ -367,12 +370,12 @@ mod tests {
             "legacy RLE of constant data must actually shrink"
         );
         let checksum = checksum64(&wire);
-        let addr = heaven.store.append(WritePayload::Real(wire)).unwrap();
+        let addr = heaven.store_mut().append(WritePayload::Real(wire)).unwrap();
         heaven
             .register_supertile(meta, addr, None, checksum)
             .unwrap();
         for &(_, t) in tiles.iter() {
-            heaven.adb.mark_exported(t).unwrap();
+            heaven.arraydb_mut().mark_exported(t).unwrap();
         }
         heaven.clear_caches();
         let back = heaven

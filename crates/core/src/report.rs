@@ -71,7 +71,7 @@ impl Heaven {
         collection: &str,
         mode: ExportMode,
     ) -> crate::error::Result<Vec<ExportReport>> {
-        let oids: Vec<ObjectId> = self.arraydb().collection(collection)?.objects.clone();
+        let oids: Vec<ObjectId> = self.arraydb_mut().collection(collection)?.objects.clone();
         let mut reports = Vec::with_capacity(oids.len());
         for oid in oids {
             if self.catalog().is_exported(oid) {
@@ -93,16 +93,17 @@ impl Heaven {
                 resident += 1;
             }
         }
-        let media = self
-            .store()
+        let store = self.store();
+        let media = store
             .library()
             .media_ids()
             .into_iter()
             .map(|m| {
-                let used = self.store().library().medium_used(m).unwrap_or(0);
+                let used = store.library().medium_used(m).unwrap_or(0);
                 (m, used, self.dead_bytes_on(m))
             })
             .collect();
+        drop(store);
         ArchiveReport {
             exported_objects: exported,
             resident_objects: resident,

@@ -151,7 +151,7 @@ fn export_report_accounts_bytes_and_media() {
     let oids = [oid];
     let rep = heaven.export_object(oids[0], ExportMode::Tct).unwrap();
     // bytes = sum of encoded tile sizes
-    let meta = heaven.arraydb().object(oids[0]).unwrap();
+    let meta = heaven.arraydb().object(oids[0]).unwrap().clone();
     let expect: u64 = meta
         .tiles
         .iter()
@@ -299,8 +299,7 @@ fn slot_limited_archive_pays_shelf_fetches() {
             .fetch_region_hierarchical(oid, &mi(&[(0, 9), (0, 9)]))
             .unwrap();
     }
-    let lib = heaven.store().library();
-    assert!(lib.shelf_fetches() >= 1);
+    assert!(heaven.store().library().shelf_fetches() >= 1);
     assert!(heaven.clock().now_s() - t0 >= 240.0);
 }
 

@@ -397,3 +397,48 @@ fn scheduling_toggle_changes_fetch_order_not_results() {
         assert_eq!(sub.get_f64(&p).unwrap(), value_at(&p));
     }
 }
+
+/// Sessions open on a `Heaven` between its `&mut` operations: two
+/// sessions read the archive, close, the same system exports a new
+/// object, and a fresh session reads that object byte-exact.
+#[test]
+fn sessions_on_a_heaven_interleave_with_exports() {
+    let (mut heaven, oid) = setup(small_st_config());
+    heaven.export_object(oid, ExportMode::Tct).unwrap();
+    heaven.clear_caches();
+    let whole = mi(&[(0, 59), (0, 59)]);
+    {
+        let (a, b) = (heaven.session(), heaven.session());
+        std::thread::scope(|s| {
+            for (session, half) in [
+                (&a, mi(&[(0, 29), (0, 59)])),
+                (&b, mi(&[(30, 59), (0, 59)])),
+            ] {
+                s.spawn(move || {
+                    let got = session.fetch_region(oid, &half).unwrap();
+                    assert_eq!(got, MDArray::generate(half, CellType::I32, value_at));
+                });
+            }
+        });
+    }
+    let second = |p: &Point| -value_at(p);
+    let arr = MDArray::generate(whole.clone(), CellType::I32, second);
+    let oid2 = heaven
+        .arraydb_mut()
+        .insert_object(
+            "climate",
+            &arr,
+            Tiling::Regular {
+                tile_shape: vec![10, 10],
+            },
+        )
+        .unwrap();
+    heaven.export_object(oid2, ExportMode::Tct).unwrap();
+    heaven.clear_caches();
+    let fetches = heaven.stats().st_tape_fetches;
+    assert_eq!(heaven.session().fetch_region(oid2, &whole).unwrap(), arr);
+    assert!(
+        heaven.stats().st_tape_fetches > fetches,
+        "the new object must be read back from tape"
+    );
+}

@@ -19,6 +19,11 @@ fn value_at(p: &Point) -> f64 {
 
 /// Build a Heaven with one 60x60 i32 object in 10x10 tiles.
 fn setup() -> (Heaven, u64) {
+    setup_with_batching(HeavenConfig::default().cross_session_batching)
+}
+
+/// [`setup`] with sessions' cross-session batching chosen.
+fn setup_with_batching(cross_session_batching: bool) -> (Heaven, u64) {
     let clock = SimClock::new();
     let db = Database::new(heaven_tape::DiskProfile::scsi2003(), clock.clone(), 4096);
     let mut adb = ArrayDb::create(db).unwrap();
@@ -37,6 +42,7 @@ fn setup() -> (Heaven, u64) {
     let config = HeavenConfig {
         supertile_bytes: Some(4 * 500),
         clustering: ClusteringStrategy::EStar(AccessPattern::Uniform),
+        cross_session_batching,
         ..HeavenConfig::default()
     };
     (Heaven::new(adb, lib, config), oid)
@@ -195,4 +201,32 @@ fn overattributed_breakdown_clamps_other_and_counts() {
             .get(),
         over_before + 1
     );
+}
+
+/// Every tertiary fetch observes both fetch histograms exactly once,
+/// whichever path staged it: the single owner, a batched session or a
+/// FIFO session.
+#[test]
+fn fetch_histograms_count_every_tape_fetch_on_every_path() {
+    let whole = mi(&[(0, 59), (0, 59)]);
+    for path in ["owner", "batched session", "fifo session"] {
+        let (mut heaven, oid) = setup_with_batching(path == "batched session");
+        heaven.export_object(oid, ExportMode::Tct).unwrap();
+        heaven.clear_caches();
+        if path == "owner" {
+            heaven.fetch_region_hierarchical(oid, &whole).unwrap();
+        } else {
+            heaven.session().fetch_region(oid, &whole).unwrap();
+        }
+        let m = heaven.metrics();
+        let fetches = m.counter("heaven.st_tape_fetches").get();
+        assert!(fetches > 0, "{path}: the cold read must reach tape");
+        for hist in ["heaven.st_fetch_hist_s", "heaven.st_fetch_bytes"] {
+            assert_eq!(
+                m.histogram(hist).snapshot().count,
+                fetches,
+                "{path}: {hist} samples vs heaven.st_tape_fetches"
+            );
+        }
+    }
 }

@@ -30,6 +30,20 @@ if grep -rn 'std::sync::Mutex\|RefCell' crates/core/src crates/hsm/src; then
   exit 1
 fi
 
+echo "==> one tertiary staging path in core"
+# Every tertiary payload enters the hierarchy through the engine's
+# stage/admit pair (crates/core/src/concurrent.rs). A second call site of
+# the recovery ladder, or a second registration of the fetch counter,
+# means a second staging path has crept back in.
+ladder_calls=$(grep -rn 'read_with_recovery(' crates/core/src \
+  | grep -vc '^crates/core/src/recovery.rs:' || true)
+fetch_counters=$(grep -rn '"heaven.st_tape_fetches"' crates/core/src | wc -l)
+if [ "$ladder_calls" -ne 1 ] || [ "$fetch_counters" -ne 1 ]; then
+  echo "read_with_recovery( call sites outside recovery.rs: $ladder_calls (want 1)"
+  echo "\"heaven.st_tape_fetches\" registrations: $fetch_counters (want 1)"
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
