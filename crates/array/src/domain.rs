@@ -300,12 +300,59 @@ impl Minterval {
         Point(coords)
     }
 
+    /// Step `p` to the next point of this box in row-major order, in
+    /// place (no allocation, no division). Returns `false` after the last
+    /// point, leaving `p` wrapped to the lower corner.
+    pub(crate) fn advance(&self, p: &mut Point) -> bool {
+        for (a, c) in self.axes.iter().zip(p.0.iter_mut()).rev() {
+            if *c < a.hi {
+                *c += 1;
+                return true;
+            }
+            *c = a.lo;
+        }
+        false
+    }
+
+    /// The row-run walker over `region` inside this box: the start offset
+    /// of every last-axis run of `region`, in row-major order. Errors
+    /// when `region` is not contained in `self`.
+    pub(crate) fn row_runs(&self, region: &Minterval) -> Result<RowRuns> {
+        if !self.contains(region) {
+            return Err(ArrayError::NotContained {
+                inner: region.to_string(),
+                outer: self.to_string(),
+            });
+        }
+        // Innermost axis first; the last axis is the run itself.
+        let mut axes = Vec::with_capacity(self.dim().saturating_sub(1));
+        let (mut stride, mut offset, mut runs) = (1usize, 0usize, 1u64);
+        for (i, (o, r)) in self.axes.iter().zip(&region.axes).enumerate().rev() {
+            offset += (r.lo - o.lo) as usize * stride;
+            if i + 1 < self.dim() {
+                axes.push(RunAxis {
+                    pos: 0,
+                    extent: r.extent(),
+                    stride,
+                });
+                runs *= r.extent();
+            }
+            stride *= o.extent() as usize;
+        }
+        Ok(RowRuns {
+            run_len: region.axes.last().map_or(1, |a| a.extent() as usize),
+            axes,
+            offset,
+            remaining: runs,
+        })
+    }
+
     /// Iterate over all points in row-major order.
     pub fn iter_points(&self) -> PointIter<'_> {
         PointIter {
             domain: self,
-            next: 0,
-            total: self.cell_count(),
+            cur: self.lo(),
+            remaining: self.cell_count(),
         }
     }
 
@@ -355,27 +402,89 @@ impl fmt::Display for Minterval {
     }
 }
 
+/// The row-run walker under every region kernel (copy, slice, block
+/// folds): yields the start offset, in cells, of each contiguous
+/// last-axis run of a region inside an enclosing box, in row-major order.
+/// Every run is [`run_len`](Self::run_len) cells long.
+///
+/// An odometer over the region's outer axes steps the offset by
+/// precomputed strides, so a run costs a few additions: no division, no
+/// allocation, no bounds check. Set-up is O(dim) (see
+/// [`Minterval::row_runs`]). A 0-D region is one run of one cell.
+#[derive(Debug)]
+pub(crate) struct RowRuns {
+    /// Outer axes of the region, innermost first.
+    axes: Vec<RunAxis>,
+    /// Offset of the next run in the enclosing box.
+    offset: usize,
+    /// Runs not yet yielded.
+    remaining: u64,
+    run_len: usize,
+}
+
+#[derive(Debug)]
+struct RunAxis {
+    /// Position within the region along this axis.
+    pos: u64,
+    /// The region's extent along this axis.
+    extent: u64,
+    /// The enclosing box's stride along this axis, in cells.
+    stride: usize,
+}
+
+impl RowRuns {
+    /// Cells per run: the region's last-axis extent (1 for a 0-D region).
+    pub(crate) fn run_len(&self) -> usize {
+        self.run_len
+    }
+}
+
+impl Iterator for RowRuns {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let start = self.offset;
+        for ax in &mut self.axes {
+            ax.pos += 1;
+            self.offset += ax.stride;
+            if ax.pos < ax.extent {
+                break;
+            }
+            ax.pos = 0;
+            self.offset -= ax.extent as usize * ax.stride;
+        }
+        Some(start)
+    }
+}
+
 /// Iterator over the points of a [`Minterval`] in row-major order.
 pub struct PointIter<'a> {
     domain: &'a Minterval,
-    next: u64,
-    total: u64,
+    /// The point `next` yields, stepped in place by [`Minterval::advance`].
+    cur: Point,
+    remaining: u64,
 }
 
 impl Iterator for PointIter<'_> {
     type Item = Point;
 
     fn next(&mut self) -> Option<Point> {
-        if self.next >= self.total {
+        if self.remaining == 0 {
             return None;
         }
-        let p = self.domain.point_at(self.next);
-        self.next += 1;
+        let p = self.cur.clone();
+        self.remaining -= 1;
+        self.domain.advance(&mut self.cur);
         Some(p)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = (self.total - self.next) as usize;
+        let rem = self.remaining as usize;
         (rem, Some(rem))
     }
 }
@@ -480,5 +589,53 @@ mod tests {
         let b = mi(&[(0, 4), (0, 4)]);
         assert!(!a.intersects(&b));
         assert!(a.hull(&b).is_err());
+    }
+
+    #[test]
+    fn row_runs_step_offsets_in_the_enclosing_box() {
+        let outer = mi(&[(0, 3), (10, 14), (-2, 5)]);
+        let region = mi(&[(1, 2), (11, 12), (0, 3)]);
+        let runs = outer.row_runs(&region).unwrap();
+        assert_eq!(runs.run_len(), 4);
+        let want: Vec<usize> = [[1, 11], [1, 12], [2, 11], [2, 12]]
+            .iter()
+            .map(|&[a, b]| outer.offset_of(&Point::new(vec![a, b, 0])).unwrap())
+            .collect();
+        assert_eq!(runs.collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn row_runs_edge_cases() {
+        // A 1-D region is one run; a 0-D region is one run of one cell.
+        let line = mi(&[(1, 8)]);
+        let runs = line.row_runs(&mi(&[(3, 5)])).unwrap();
+        assert_eq!((runs.run_len(), runs.collect::<Vec<_>>()), (3, vec![2]));
+        let scalar = Minterval::from_intervals(vec![]);
+        let runs = scalar.row_runs(&scalar).unwrap();
+        assert_eq!((runs.run_len(), runs.collect::<Vec<_>>()), (1, vec![0]));
+        assert_eq!(
+            line.row_runs(&mi(&[(0, 9)])).unwrap_err(),
+            ArrayError::NotContained {
+                inner: "[0:9]".into(),
+                outer: "[1:8]".into(),
+            }
+        );
+    }
+
+    #[test]
+    fn advance_walks_row_major_and_wraps() {
+        let m = mi(&[(0, 1), (5, 6)]);
+        let mut p = m.lo();
+        let mut seen = vec![p.clone()];
+        while m.advance(&mut p) {
+            seen.push(p.clone());
+        }
+        let by_offset: Vec<Point> = (0..m.cell_count()).map(|o| m.point_at(o)).collect();
+        assert_eq!(seen, by_offset);
+        assert_eq!(seen, m.iter_points().collect::<Vec<_>>());
+        assert_eq!(p, m.lo());
+        // A 0-D box has one point.
+        let zero = Minterval::new(&[]).unwrap();
+        assert_eq!(zero.iter_points().count(), 1);
     }
 }

@@ -121,10 +121,12 @@ impl MDArray {
     {
         let mut arr = MDArray::zeros(domain.clone(), cell_type);
         let (buf, _) = arr.data.make_mut();
-        for (i, p) in domain.iter_points().enumerate() {
+        let mut p = domain.lo();
+        for i in 0..domain.cell_count() as usize {
             CellValue::from_f64(cell_type, f(&p))
                 .write(buf, i)
                 .expect("buffer sized for domain");
+            domain.advance(&mut p);
         }
         arr
     }
@@ -228,15 +230,6 @@ impl MDArray {
         copy_region(src, self, &overlap)
     }
 
-    /// Iterate over `(point, value)` pairs in row-major order.
-    pub fn iter_cells(&self) -> impl Iterator<Item = (Point, CellValue)> + '_ {
-        self.domain.iter_points().enumerate().map(move |(i, p)| {
-            let v =
-                CellValue::read(self.cell_type, self.bytes(), i).expect("buffer sized for domain");
-            (p, v)
-        })
-    }
-
     /// Sum of all cells as f64 (convenience used by tests and condensers).
     /// Delegates to the typed bulk kernel in [`crate::ops`].
     pub fn sum(&self) -> f64 {
@@ -245,55 +238,24 @@ impl MDArray {
 }
 
 /// Copy the cells of region `region` from `src` into `dst`; `region` must be
-/// contained in both domains. Copies are performed run-wise along the last
-/// axis for efficiency.
+/// contained in both domains. One `memcpy` per last-axis run, with both
+/// offsets stepped by the row-run walker (`Minterval::row_runs`).
 pub fn copy_region(src: &MDArray, dst: &mut MDArray, region: &Minterval) -> Result<()> {
-    if !src.domain().contains(region) {
-        return Err(ArrayError::NotContained {
-            inner: region.to_string(),
-            outer: src.domain().to_string(),
-        });
-    }
-    if !dst.domain().contains(region) {
-        return Err(ArrayError::NotContained {
-            inner: region.to_string(),
-            outer: dst.domain().to_string(),
-        });
-    }
+    let src_runs = src.domain().row_runs(region)?;
+    let dst_runs = dst.domain().row_runs(region)?;
     if src.cell_type() != dst.cell_type() {
         return Err(ArrayError::TypeMismatch {
             left: src.cell_type().name(),
             right: dst.cell_type().name(),
         });
     }
-    let d = region.dim();
     let cell_sz = src.cell_type().size_bytes();
-    if d == 0 {
-        return Ok(());
-    }
-    // Iterate over all "rows": fix all axes but the last, copy a contiguous run.
-    let last = d - 1;
-    let run_len = region.axis(last).extent() as usize * cell_sz;
-    let outer = if d == 1 {
-        None
-    } else {
-        Some(Minterval::from_intervals(region.axes()[..last].to_vec()))
-    };
-    let row_starts: Box<dyn Iterator<Item = Point>> = match &outer {
-        None => Box::new(std::iter::once(Point::new(vec![region.axis(0).lo]))),
-        Some(o) => Box::new(o.iter_points().map(move |mut p| {
-            p.0.push(region.axis(last).lo);
-            p
-        })),
-    };
-    let src_dom = src.domain().clone();
-    let dst_dom = dst.domain().clone();
+    let run_bytes = src_runs.run_len() * cell_sz;
     let src_bytes = src.bytes();
     let (dst_bytes, _) = dst.data.make_mut();
-    for start in row_starts {
-        let so = src_dom.offset_of(&start)? * cell_sz;
-        let doff = dst_dom.offset_of(&start)? * cell_sz;
-        dst_bytes[doff..doff + run_len].copy_from_slice(&src_bytes[so..so + run_len]);
+    for (so, doff) in src_runs.zip(dst_runs) {
+        let (so, doff) = (so * cell_sz, doff * cell_sz);
+        dst_bytes[doff..doff + run_bytes].copy_from_slice(&src_bytes[so..so + run_bytes]);
     }
     Ok(())
 }
@@ -382,6 +344,28 @@ mod tests {
         rebuilt.patch(&left).unwrap();
         rebuilt.patch(&right).unwrap();
         assert_eq!(rebuilt, orig);
+    }
+
+    #[test]
+    fn zero_dimensional_array_keeps_its_cell() {
+        let line = MDArray::from_bytes(
+            mi(&[(0, 3)]),
+            CellType::I32,
+            [10i32, 11, 12, 13]
+                .iter()
+                .flat_map(|v| v.to_le_bytes())
+                .collect(),
+        )
+        .unwrap();
+        let scalar = crate::ops::slice(&line, 0, 2).unwrap();
+        let dom = scalar.domain().clone();
+        assert_eq!(dom.dim(), 0);
+        assert_eq!(scalar.sum(), 12.0);
+        assert_eq!(scalar.extract(&dom).unwrap().sum(), 12.0);
+        assert_eq!(crate::ops::trim(&scalar, &dom).unwrap().sum(), 12.0);
+        let mut patched = MDArray::zeros(dom, CellType::I32);
+        patched.patch(&scalar).unwrap();
+        assert_eq!(patched, scalar);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! operations, and *condensers* (aggregations). HEAVEN's precomputed-result
 //! catalog (§3.9) memoizes condenser results.
 
-use crate::domain::{Minterval, Point};
+use crate::domain::{Interval, Minterval};
 use crate::error::{ArrayError, Result};
 use crate::mdd::MDArray;
-use crate::value::{with_scalar, CellType, CellValue, Scalar};
+use crate::value::{with_scalar, CellType, Scalar};
 
 /// Trim: restrict the array to a sub-box (dimensionality preserved).
 pub fn trim(a: &MDArray, region: &Minterval) -> Result<MDArray> {
@@ -25,26 +25,12 @@ pub fn slice(a: &MDArray, dim: usize, pos: i64) -> Result<MDArray> {
     if !dom.axis(dim).contains(pos) {
         return Err(ArrayError::BadSlice { dim, pos });
     }
-    let out_dom = dom.project_out(dim)?;
-    let mut out = MDArray::zeros(out_dom.clone(), a.cell_type());
-    for (i, p) in out_dom.iter_points().enumerate() {
-        let mut full = p.0.clone();
-        full.insert(dim, pos);
-        let v = a.get(&Point::new(full))?;
-        v.write_at(&mut out, i)?;
-    }
-    Ok(out)
-}
-
-trait WriteAt {
-    fn write_at(self, arr: &mut MDArray, index: usize) -> Result<()>;
-}
-
-impl WriteAt for CellValue {
-    fn write_at(self, arr: &mut MDArray, index: usize) -> Result<()> {
-        let p = arr.domain().point_at(index as u64);
-        arr.set(&p, self.as_f64())
-    }
+    // The slab at `pos` has the source's row-major cell order with an
+    // extent-1 axis at `dim`; dropping that axis re-domains it in place.
+    let mut slab = dom.axes().to_vec();
+    slab[dim] = Interval::new(pos, pos)?;
+    let out = a.extract(&Minterval::from_intervals(slab))?;
+    MDArray::from_bytes(dom.project_out(dim)?, a.cell_type(), out.into_bytes())
 }
 
 /// A unary induced operation applied cell-wise.
@@ -189,27 +175,32 @@ pub fn induced_binary(a: &MDArray, b: &MDArray, op: BinaryOp) -> Result<MDArray>
         .intersection(b.domain())
         .ok_or(ArrayError::Empty("operand domain intersection"))?;
     let out_ty = op.result_type(a.cell_type(), b.cell_type());
-    if &dom == a.domain() && a.domain() == b.domain() {
-        // Equal domains (the RasDaMan-conformant case): both buffers are
-        // aligned cell-for-cell, so run one typed pass instead of a
-        // per-point domain walk.
-        let n = dom.cell_count() as usize;
-        let mut out = vec![0u8; n * out_ty.size_bytes()];
-        with_scalar!(a.cell_type(), S, {
-            with_scalar!(b.cell_type(), T, {
-                with_scalar!(out_ty, O, {
-                    zip_cells::<S, T, O>(a.bytes(), b.bytes(), &mut out, op)?;
-                })
+    // Equal domains (the RasDaMan-conformant case) are aligned
+    // cell-for-cell already; otherwise extract each operand to the
+    // intersection first, so one typed pass covers every case.
+    let (a_ext, b_ext);
+    let a = if a.domain() == &dom {
+        a
+    } else {
+        a_ext = a.extract(&dom)?;
+        &a_ext
+    };
+    let b = if b.domain() == &dom {
+        b
+    } else {
+        b_ext = b.extract(&dom)?;
+        &b_ext
+    };
+    let n = dom.cell_count() as usize;
+    let mut out = vec![0u8; n * out_ty.size_bytes()];
+    with_scalar!(a.cell_type(), S, {
+        with_scalar!(b.cell_type(), T, {
+            with_scalar!(out_ty, O, {
+                zip_cells::<S, T, O>(a.bytes(), b.bytes(), &mut out, op)?;
             })
-        });
-        return MDArray::from_bytes(dom, out_ty, out);
-    }
-    let mut out = MDArray::zeros(dom.clone(), out_ty);
-    for p in dom.iter_points() {
-        let v = op.apply(a.get_f64(&p)?, b.get_f64(&p)?)?;
-        out.set(&p, v)?;
-    }
-    Ok(out)
+        })
+    });
+    MDArray::from_bytes(dom, out_ty, out)
 }
 
 /// Aligned cell-for-cell binary pass; errors out (leaving `dst` partial,
@@ -377,21 +368,40 @@ pub fn scale_down(a: &MDArray, factors: &[u64]) -> Result<MDArray> {
         .map(|(&e, &f)| e.div_ceil(f))
         .collect();
     let out_dom = Minterval::with_shape(&out_shape)?;
-    let mut out = MDArray::zeros(out_dom.clone(), a.cell_type());
-    for op in out_dom.iter_points() {
-        // source block for this output cell
-        let mut axes = Vec::with_capacity(d);
+    let out = with_scalar!(a.cell_type(), S, {
+        scale_blocks::<S>(a, factors, &out_dom)?
+    });
+    MDArray::from_bytes(out_dom, a.cell_type(), out)
+}
+
+/// The block means of [`scale_down`], one output cell at a time in
+/// row-major order. Each block is summed run by run, which is row-major
+/// cell order: the f64 additions happen in a fixed order, so results are
+/// bit-exact across kernels.
+fn scale_blocks<S: Scalar>(a: &MDArray, factors: &[u64], out_dom: &Minterval) -> Result<Vec<u8>> {
+    let dom = a.domain();
+    let src = a.bytes();
+    let mut out = vec![0u8; out_dom.cell_count() as usize * S::SIZE];
+    let mut op = out_dom.lo();
+    for cell in out.chunks_exact_mut(S::SIZE) {
+        let mut axes = Vec::with_capacity(factors.len());
         for (i, &f) in factors.iter().enumerate() {
             let lo = dom.axis(i).lo + op.coord(i) * f as i64;
             let hi = (lo + f as i64 - 1).min(dom.axis(i).hi);
-            axes.push(crate::domain::Interval::new(lo, hi)?);
+            axes.push(Interval::new(lo, hi)?);
         }
         let block = Minterval::from_intervals(axes);
+        let runs = dom.row_runs(&block)?;
+        let run_bytes = runs.run_len() * S::SIZE;
         let mut acc = 0.0;
-        for p in block.iter_points() {
-            acc += a.get_f64(&p)?;
+        for off in runs {
+            let off = off * S::SIZE;
+            acc = src[off..off + run_bytes]
+                .chunks_exact(S::SIZE)
+                .fold(acc, |acc, b| acc + S::from_le(b).to_f64());
         }
-        out.set(&op, acc / block.cell_count() as f64)?;
+        S::from_f64(acc / block.cell_count() as f64).write_le(cell);
+        out_dom.advance(&mut op);
     }
     Ok(out)
 }
@@ -427,6 +437,24 @@ mod tests {
         assert_eq!(s.sum(), (8 + 9 + 10 + 11) as f64);
         let s2 = slice(&a, 1, 0).unwrap();
         assert_eq!(s2.sum(), (4 + 8 + 12) as f64);
+    }
+
+    #[test]
+    fn slice_copies_cell_bytes_verbatim() {
+        // A signaling f32 NaN (quiet bit clear) survives slicing bit for
+        // bit: slice is a byte copy, not a decode/encode round trip,
+        // which would quiet it.
+        const SNAN: u32 = 0x7fa0_0001;
+        let words = [1.5f32.to_bits(), SNAN, (-0.0f32).to_bits(), SNAN];
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let a = MDArray::from_bytes(mi(&[(0, 1), (0, 1)]), CellType::F32, bytes).unwrap();
+        let s = slice(&a, 0, 1).unwrap();
+        let got: Vec<u32> = s
+            .bytes()
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        assert_eq!(got, [(-0.0f32).to_bits(), SNAN]);
     }
 
     #[test]

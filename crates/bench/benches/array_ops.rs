@@ -64,11 +64,52 @@ fn bench_patch(c: &mut Criterion) {
     });
 }
 
+/// Warm region assembly at the `warm_rasql` tile shapes: every tile that
+/// meets a ~5 % box is patched into it. The rows are 32 bytes long, so
+/// the per-row cost of the copy kernel, not bandwidth, sets the time.
+fn bench_patch_tiles(c: &mut Criterion) {
+    let cases = [
+        (
+            "ops/patch 4x8x8 f32 tiles into 5% box",
+            mi(&[(0, 15), (0, 127), (0, 127)]),
+            vec![4, 8, 8],
+            CellType::F32,
+            mi(&[(2, 9), (17, 56), (30, 70)]),
+        ),
+        (
+            "ops/patch 32x32 u8 tiles into 5% box",
+            mi(&[(0, 1023), (0, 1023)]),
+            vec![32, 32],
+            CellType::U8,
+            mi(&[(100, 328), (400, 628)]),
+        ),
+    ];
+    for (name, dom, tile_shape, ty, query) in cases {
+        let tiles: Vec<MDArray> = Tiling::Regular { tile_shape }
+            .tile_domains(&dom, ty)
+            .unwrap()
+            .into_iter()
+            .filter(|t| t.intersects(&query))
+            .map(|t| MDArray::generate(t, ty, |p| p.coord(0) as f64))
+            .collect();
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut dst = MDArray::zeros(query.clone(), ty);
+                for t in &tiles {
+                    dst.patch(black_box(t)).unwrap();
+                }
+                black_box(dst.size_bytes())
+            })
+        });
+    }
+}
+
 criterion_group!(
     benches,
     bench_tiling,
     bench_orders,
     bench_trim_and_condense,
-    bench_patch
+    bench_patch,
+    bench_patch_tiles
 );
 criterion_main!(benches);

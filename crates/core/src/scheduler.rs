@@ -62,6 +62,10 @@ pub fn schedule(requests: &[FetchRequest], mounted: &[MediumId]) -> Vec<FetchReq
 /// drives and the given initially mounted media (LRU replacement —
 /// mirrors the library simulator).
 pub fn count_exchanges(order: &[FetchRequest], drives: usize, mounted: &[MediumId]) -> u64 {
+    if order.is_empty() {
+        // A warm query's order: nothing to simulate, nothing to allocate.
+        return 0;
+    }
     let mut in_drive: Vec<Option<MediumId>> = vec![None; drives.max(1)];
     for (i, &m) in mounted.iter().take(drives).enumerate() {
         in_drive[i] = Some(m);

@@ -17,15 +17,20 @@
 //! in production (<5% on a warm query), so the record→sink path performs
 //! **zero heap allocations and takes no global lock**:
 //!
-//! * Names and string field values are interned to `u32` [`Sym`] ids
-//!   (warm lookups are lock-free); short dynamic strings are copied
-//!   inline into the record instead.
+//! * Span/event names and field keys are the call sites' `&'static str`s,
+//!   stored as is; string field values are interned to `u32` [`Sym`] ids
+//!   (warm lookups are lock-free) or, when short and dynamic, copied
+//!   inline into the record.
 //! * Records are POD [`CompactRecord`]s with a fixed-capacity inline
 //!   field array (capacity [`MAX_FIELDS`]; excess fields are dropped).
+//! * Each thread builds its records in its own staging buffer and
+//!   publishes a whole root span tree at once when the root closes (see
+//!   [`ThreadTrace`]): one atomic claim per tree, not per record, and
+//!   every tree lands contiguously in the stream.
 //! * The ring sink is a preallocated array of slots written through a
 //!   seqlock scheme (per-slot version word + one atomic claim cursor),
 //!   mirroring crossbeam's `SeqLock`: a torn read is detected by the
-//!   version word and skipped.
+//!   version word and skipped. A record's `seq` is its ring claim.
 //! * The JSONL sink serializes **drained batches** off the hot path:
 //!   records land in the pending ring and a dedicated writer thread is
 //!   unparked every [`JSONL_BATCH`] records to serialize them to the
@@ -35,9 +40,9 @@
 //! * The span stack is thread-local (keyed by bus id), so pushes and
 //!   pops never contend.
 //! * The secondary wall-clock timestamp is sampled once per **root**
-//!   span, not per record (`wall_unix_s` exists to correlate with
-//!   external logs; sub-span granularity would buy nothing and cost a
-//!   clock read on every record).
+//!   span from the coarse clock, not per record (`wall_unix_s` exists
+//!   to correlate with external logs; sub-span granularity would buy
+//!   nothing and cost a clock read on every record).
 //!
 //! # Sampling
 //!
@@ -46,9 +51,9 @@
 //! bracketed queries (`sample_1_in_n`: keep every n-th query trace), and
 //! always-keep-slow tail capture (`keep_slow_s`: a sampled-out query
 //! whose simulated duration reaches the threshold is retained anyway).
-//! Sampled-out queries divert their records to a side ring and discard
-//! them at `query_span_end` unless slow — so the main stream stays
-//! well-nested with whole query subtrees present or absent.
+//! A sampled-out query's records stay in its thread's staging buffer and
+//! are discarded when the query span closes unless slow — so the main
+//! stream stays well-nested with whole query subtrees present or absent.
 
 use std::cell::{RefCell, UnsafeCell};
 use std::fmt;
@@ -89,9 +94,10 @@ const JSONL_BATCH: u64 = 512;
 /// stale the file can be while the pending backlog sits under a batch.
 const JSONL_WRITER_NAP: Duration = Duration::from_millis(100);
 
-/// Side-ring capacity for sampled-out queries awaiting the slow/fast
-/// verdict. A sampled-out query emitting more than this is dropped
-/// entirely (with a `trace.slow_query_dropped` marker if it was slow).
+/// Most records a sampled-out query may stage while awaiting its
+/// slow/fast verdict. A sampled-out query emitting more than this is
+/// dropped entirely (with a `trace.slow_query_dropped` marker if it was
+/// slow).
 const SIDE_CAP: usize = 4096;
 
 // -- fields -------------------------------------------------------------------
@@ -117,24 +123,26 @@ impl SmallStr {
     }
 
     pub fn as_str(&self) -> &str {
-        // SAFETY: built from a str's bytes in `new` and ASCII in `push`.
+        // SAFETY: built from a str's bytes in `new`, or from ASCII by
+        // `push_byte` and `push_i64`.
         unsafe { std::str::from_utf8_unchecked(&self.buf[..self.len as usize]) }
     }
 
-    /// Append ASCII `bytes`; false, appending nothing, if they don't fit.
-    fn push(&mut self, bytes: &[u8]) -> bool {
-        let start = self.len as usize;
-        let end = start + bytes.len();
-        if end > SMALL_CAP || !bytes.is_ascii() {
+    /// Append one ASCII byte; false if full.
+    fn push_byte(&mut self, b: u8) -> bool {
+        let at = self.len as usize;
+        if at == SMALL_CAP {
             return false;
         }
-        self.buf[start..end].copy_from_slice(bytes);
-        self.len = end as u8;
+        self.buf[at] = b;
+        self.len += 1;
         true
     }
 
+    /// Append `v` in decimal; false, appending nothing, if it doesn't fit.
     fn push_i64(&mut self, v: i64) -> bool {
-        let mut digits = [0u8; 20];
+        // 20 digits for |i64::MIN|, plus the sign.
+        let mut digits = [0u8; 21];
         let mut i = digits.len();
         let mut n = v.unsigned_abs();
         loop {
@@ -145,7 +153,17 @@ impl SmallStr {
                 break;
             }
         }
-        (v >= 0 || self.push(b"-")) && self.push(&digits[i..])
+        if v < 0 {
+            i -= 1;
+            digits[i] = b'-';
+        }
+        let (at, len) = (self.len as usize, digits.len() - i);
+        if at + len > SMALL_CAP {
+            return false;
+        }
+        self.buf[at..at + len].copy_from_slice(&digits[i..]);
+        self.len = (at + len) as u8;
+        true
     }
 }
 
@@ -191,15 +209,18 @@ impl Field {
             len: 0,
             buf: [0; SMALL_CAP],
         };
-        let mut fits = small.push(b"[");
+        let mut fits = small.push_byte(b'[');
         for (i, (lo, hi)) in axes.clone().enumerate() {
             fits = fits
-                && (i == 0 || small.push(b","))
+                && (i == 0 || small.push_byte(b','))
                 && small.push_i64(lo)
-                && small.push(b":")
+                && small.push_byte(b':')
                 && small.push_i64(hi);
+            if !fits {
+                break;
+            }
         }
-        if fits && small.push(b"]") {
+        if fits && small.push_byte(b']') {
             return Field::Small(small);
         }
         let text: Vec<String> = axes.map(|(lo, hi)| format!("{lo}:{hi}")).collect();
@@ -416,23 +437,22 @@ const TAG_SYM: u8 = 3;
 /// Inline string in the record's `sbuf`; bits = `offset << 32 | len`.
 const TAG_STR: u8 = 4;
 
+/// A field key and its payload bits; the payload's type tag lives in
+/// the record header ([`CompactRecord::tags`]). Keys are the call site's
+/// `&'static str`, stored as is: no interning on the record path.
 #[derive(Clone, Copy)]
 struct CompactField {
-    key: Sym,
-    tag: u8,
+    key: &'static str,
     bits: u64,
 }
 
-const NIL_FIELD: CompactField = CompactField {
-    key: Sym(0),
-    tag: TAG_U64,
-    bits: 0,
-};
+const NIL_FIELD: CompactField = CompactField { key: "", bits: 0 };
 
 /// The POD record stored in ring slots: fixed-size, `Copy`, no heap.
+///
+/// The sequence number is not stored: it is the record's ring claim.
 #[derive(Clone, Copy)]
 struct CompactRecord {
-    seq: u64,
     sim_s: f64,
     wall_s: f64,
     span: u64,
@@ -440,86 +460,78 @@ struct CompactRecord {
     parent: u64,
     /// 0 = no session declared (session ids start at 1).
     session: u64,
-    name: Sym,
+    name: &'static str,
     kind: u8,
     nf: u8,
     sused: u8,
+    /// `TAG_*` of each field, in field order.
+    tags: [u8; MAX_FIELDS],
     fields: [CompactField; MAX_FIELDS],
     sbuf: [u8; SBUF],
 }
 
 impl CompactRecord {
     const EMPTY: CompactRecord = CompactRecord {
-        seq: 0,
         sim_s: 0.0,
         wall_s: 0.0,
         span: 0,
         parent: 0,
         session: 0,
-        name: Sym(0),
+        name: "",
         kind: 0,
         nf: 0,
         sused: 0,
+        tags: [TAG_U64; MAX_FIELDS],
         fields: [NIL_FIELD; MAX_FIELDS],
         sbuf: [0; SBUF],
     };
 
     /// Copy a dynamic string into `sbuf` if it fits, else intern it.
-    fn encode_str(&mut self, key: Sym, s: &str) -> CompactField {
+    fn encode_str(&mut self, s: &str) -> (u8, u64) {
         let off = self.sused as usize;
         if off + s.len() <= SBUF {
             self.sbuf[off..off + s.len()].copy_from_slice(s.as_bytes());
             self.sused = (off + s.len()) as u8;
-            CompactField {
-                key,
-                tag: TAG_STR,
-                bits: ((off as u64) << 32) | s.len() as u64,
-            }
+            (TAG_STR, ((off as u64) << 32) | s.len() as u64)
         } else {
-            CompactField {
-                key,
-                tag: TAG_SYM,
-                bits: Sym::intern(s).0 as u64,
-            }
+            (TAG_SYM, Sym::intern(s).0 as u64)
         }
     }
 
     fn encode_fields(&mut self, fields: &[(&'static str, Field)]) {
-        let mut nf = 0;
-        for (k, v) in fields.iter().take(MAX_FIELDS) {
-            let key = Sym::intern_static(k);
-            self.fields[nf] = match v {
-                Field::U64(x) => CompactField {
-                    key,
-                    tag: TAG_U64,
-                    bits: *x,
-                },
-                Field::I64(x) => CompactField {
-                    key,
-                    tag: TAG_I64,
-                    bits: *x as u64,
-                },
-                Field::F64(x) => CompactField {
-                    key,
-                    tag: TAG_F64,
-                    bits: x.to_bits(),
-                },
-                Field::Sym(s) => CompactField {
-                    key,
-                    tag: TAG_SYM,
-                    bits: s.0 as u64,
-                },
-                Field::StaticStr(s) => CompactField {
-                    key,
-                    tag: TAG_SYM,
-                    bits: Sym::intern_static(s).0 as u64,
-                },
-                Field::Small(s) => self.encode_str(key, s.as_str()),
-                Field::Str(s) => self.encode_str(key, s),
+        let fields = &fields[..fields.len().min(MAX_FIELDS)];
+        for (i, (key, v)) in fields.iter().enumerate() {
+            let (tag, bits) = match v {
+                Field::U64(x) => (TAG_U64, *x),
+                Field::I64(x) => (TAG_I64, *x as u64),
+                Field::F64(x) => (TAG_F64, x.to_bits()),
+                Field::Sym(s) => (TAG_SYM, s.0 as u64),
+                Field::StaticStr(s) => (TAG_SYM, Sym::intern_static(s).0 as u64),
+                Field::Small(s) => self.encode_str(s.as_str()),
+                Field::Str(s) => self.encode_str(s),
             };
-            nf += 1;
+            self.tags[i] = tag;
+            self.fields[i] = CompactField { key, bits };
         }
-        self.nf = nf as u8;
+        self.nf = fields.len() as u8;
+    }
+
+    /// Copy this record into `dst`, skipping unused field and string
+    /// capacity.
+    fn copy_used_into(&self, dst: &mut CompactRecord) {
+        let (nf, sused) = (self.nf as usize, self.sused as usize);
+        dst.sim_s = self.sim_s;
+        dst.wall_s = self.wall_s;
+        dst.span = self.span;
+        dst.parent = self.parent;
+        dst.session = self.session;
+        dst.name = self.name;
+        dst.kind = self.kind;
+        dst.nf = self.nf;
+        dst.sused = self.sused;
+        dst.tags = self.tags;
+        dst.fields[..nf].copy_from_slice(&self.fields[..nf]);
+        dst.sbuf[..sused].copy_from_slice(&self.sbuf[..sused]);
     }
 
     fn inline_str(&self, bits: u64) -> &str {
@@ -531,21 +543,21 @@ impl CompactRecord {
 
     fn decode_field(&self, i: usize) -> (&'static str, Field) {
         let f = &self.fields[i];
-        let v = match f.tag {
+        let v = match self.tags[i] {
             TAG_U64 => Field::U64(f.bits),
             TAG_I64 => Field::I64(f.bits as i64),
             TAG_F64 => Field::F64(f64::from_bits(f.bits)),
             TAG_SYM => Field::StaticStr(Sym(f.bits as u32).resolve()),
             _ => Field::Str(self.inline_str(f.bits).to_string()),
         };
-        (f.key.resolve(), v)
+        (f.key, v)
     }
 
-    fn to_record(self) -> TraceRecord {
+    fn to_record(self, seq: u64) -> TraceRecord {
         TraceRecord {
-            seq: self.seq,
+            seq,
             kind: RecordKind::from_u8(self.kind),
-            name: self.name.resolve(),
+            name: self.name,
             sim_s: self.sim_s,
             wall_unix_s: self.wall_s,
             span: self.span,
@@ -564,13 +576,13 @@ impl CompactRecord {
     /// full-precision Unix timestamp — the worst case for shortest
     /// round-trip formatting — and is constant across a root span, while
     /// adjacent records frequently share `sim_s`.
-    fn write_json(&self, out: &mut String, memo: &mut JsonMemo) {
+    fn write_json(&self, seq: u64, out: &mut String, memo: &mut JsonMemo) {
         out.push_str("{\"seq\":");
-        json::write_u64(out, self.seq);
+        json::write_u64(out, seq);
         out.push_str(",\"kind\":\"");
         out.push_str(RecordKind::from_u8(self.kind).as_str());
         out.push_str("\",\"name\":");
-        json::write_str(out, self.name.resolve());
+        json::write_str(out, self.name);
         out.push_str(",\"sim_s\":");
         memo.sim.write(out, self.sim_s);
         out.push_str(",\"wall_unix_s\":");
@@ -594,9 +606,9 @@ impl CompactRecord {
                     out.push(',');
                 }
                 let f = &self.fields[i];
-                json::write_str(out, f.key.resolve());
+                json::write_str(out, f.key);
                 out.push(':');
-                match f.tag {
+                match self.tags[i] {
                     TAG_U64 => json::write_u64(out, f.bits),
                     TAG_I64 => json::write_i64(out, f.bits as i64),
                     TAG_F64 => memo.field.write(out, f64::from_bits(f.bits)),
@@ -696,29 +708,32 @@ impl SlotRing {
         self.head.load(Ordering::Acquire)
     }
 
-    fn push(&self, rec: &CompactRecord) -> u64 {
-        self.push_with(|slot| *slot = *rec)
-    }
-
-    /// Claim a slot and let `fill` write the record in place, inside the
-    /// seqlock write section. The slot still holds whatever record lived
-    /// there a lap ago: `fill` must set every header field, and readers
-    /// never look past `nf` fields or `sused` string bytes, so the stale
-    /// tail needs no zeroing. Building in place spares the fast path a
-    /// stack-local zero-init plus a whole-record copy per record.
-    fn push_with(&self, fill: impl FnOnce(&mut CompactRecord)) -> u64 {
-        let claim = self.head.fetch_add(1, Ordering::AcqRel);
-        let slot = &self.slots[(claim & self.mask) as usize];
-        // Acquire on the RMW keeps the payload write from being
-        // reordered before the version bump (crossbeam SeqLock's write
-        // protocol); readers seeing the payload also see the odd version.
-        slot.ver.swap(claim * 2 + 1, Ordering::AcqRel);
-        // SAFETY: the claim cursor hands each claim to exactly one
-        // writer; a lapped writer for the same slot bumped the version
-        // first, so readers discard whatever they copied.
-        fill(unsafe { &mut *slot.rec.get() });
-        slot.ver.store(claim * 2 + 2, Ordering::Release);
-        claim
+    /// Publish `recs` as consecutive records: one claim for the batch,
+    /// then each slot is written inside its seqlock section. The slots
+    /// still hold whatever lived there a lap ago; readers never look past
+    /// `nf` fields or `sused` string bytes, so only the used parts are
+    /// copied.
+    fn push_all(&self, recs: &[CompactRecord]) {
+        if recs.is_empty() {
+            return;
+        }
+        // The only read-modify-write on the record path, once per batch.
+        let first = self.head.fetch_add(recs.len() as u64, Ordering::AcqRel);
+        for (claim, rec) in (first..).zip(recs) {
+            let slot = &self.slots[(claim & self.mask) as usize];
+            // Seqlock write protocol (Boehm, "Can seqlocks get along with
+            // programming language memory models?"): a plain store of the
+            // odd version, then a release fence, keeps the payload writes
+            // from moving above the version bump; a reader that sees any
+            // of them also sees the odd version on its re-check.
+            slot.ver.store(claim * 2 + 1, Ordering::Relaxed);
+            fence(Ordering::Release);
+            // SAFETY: the claim cursor hands each claim to exactly one
+            // writer; a lapped writer for the same slot bumped the
+            // version first, so readers discard whatever they copied.
+            rec.copy_used_into(unsafe { &mut *slot.rec.get() });
+            slot.ver.store(claim * 2 + 2, Ordering::Release);
+        }
     }
 
     /// Read the record for `claim`, if still present and fully written.
@@ -898,42 +913,203 @@ impl TraceConfig {
     }
 }
 
-// -- thread-local span stacks -------------------------------------------------
+// -- per-thread staging -------------------------------------------------------
 
 #[derive(Clone, Copy)]
 struct Frame {
     id: SpanId,
-    name: Sym,
+    name: &'static str,
     start_s: f64,
 }
 
-struct SpanStack {
+/// Initial staged-record capacity per thread and bus. A tree that
+/// outgrows it is published in pieces (sampled-out queries grow it
+/// instead, up to [`SIDE_CAP`]).
+const STAGE_CAP: usize = 64;
+
+/// One thread's view of one bus: its open-span stack, declared session,
+/// and the records of its current root span tree.
+///
+/// Records are built here, in memory only this thread touches, and
+/// published to the shared ring in one batch when the root span closes
+/// (or the stage fills, or the thread asks for [`TraceBus::records`] or
+/// [`TraceBus::flush`]). A warm query's records therefore cost one ring
+/// claim between them, and each tree lands contiguously in the stream.
+struct ThreadTrace {
     bus_id: u64,
+    /// Publishes what is still staged when the thread exits.
+    bus: Weak<BusInner>,
     /// Session this thread currently works on behalf of (0 = none),
     /// stamped onto every record; see [`TraceBus::set_session`].
     session: u64,
+    /// Wall-clock stamp of this thread's current root span (or root-level
+    /// event or link).
+    wall_s: f64,
     frames: Vec<Frame>,
+    /// Staged records are `stage[..staged]`; the rest is spare capacity
+    /// holding stale records (overwritten in place, never read).
+    stage: Vec<CompactRecord>,
+    staged: usize,
+    /// Head sampling: this thread's current query is sampled out. Its
+    /// records (from `stage[div_from]`) stay staged until its span
+    /// `div_span` closes and the slow/fast verdict keeps or drops them.
+    diverted: bool,
+    div_span: SpanId,
+    div_from: usize,
+    /// The diverted query outgrew [`SIDE_CAP`] records.
+    overflowed: bool,
+}
+
+impl ThreadTrace {
+    fn new(inner: &Arc<BusInner>) -> ThreadTrace {
+        ThreadTrace {
+            bus_id: inner.bus_id,
+            bus: Arc::downgrade(inner),
+            session: 0,
+            wall_s: wall_now_s(),
+            frames: Vec::with_capacity(32),
+            stage: vec![CompactRecord::EMPTY; STAGE_CAP],
+            staged: 0,
+            diverted: false,
+            div_span: 0,
+            div_from: 0,
+            overflowed: false,
+        }
+    }
+
+    /// Build a record in the next staging slot. Only a full stage costs
+    /// more: it is published, or grown while a query is diverted.
+    #[allow(clippy::too_many_arguments)]
+    fn stage(
+        &mut self,
+        inner: &BusInner,
+        kind: RecordKind,
+        name: &'static str,
+        sim_s: f64,
+        span: u64,
+        parent: u64,
+        fields: &[(&'static str, Field)],
+    ) {
+        if self.staged == self.stage.len() {
+            if !self.diverted {
+                self.publish(inner);
+            } else if self.staged - self.div_from >= SIDE_CAP {
+                self.overflowed = true;
+                return;
+            } else {
+                self.stage.push(CompactRecord::EMPTY);
+            }
+        }
+        let rec = &mut self.stage[self.staged];
+        rec.sim_s = sim_s;
+        rec.wall_s = self.wall_s;
+        rec.span = span;
+        rec.parent = parent;
+        rec.session = self.session;
+        rec.name = name;
+        rec.kind = kind as u8;
+        rec.sused = 0;
+        rec.encode_fields(fields);
+        self.staged += 1;
+    }
+
+    /// Hand every staged record not held back by sampling to the sink.
+    fn publish(&mut self, inner: &BusInner) {
+        let upto = if self.diverted {
+            self.div_from
+        } else {
+            self.staged
+        };
+        inner.sink(&self.stage[..upto]);
+        self.stage.copy_within(upto..self.staged, 0);
+        self.staged -= upto;
+        self.div_from = 0;
+    }
+
+    /// Pop frames down to and including `id`, staging a `SpanEnd` for
+    /// each, then settle sampling verdicts and publish a closed tree.
+    fn end(&mut self, inner: &BusInner, id: SpanId, sim_s: f64) {
+        if !self.frames.iter().any(|f| f.id == id) {
+            return; // unknown/already closed: ignore
+        }
+        while let Some(frame) = self.frames.pop() {
+            let parent = self.frames.last().map_or(0, |f| f.id);
+            let dur = (sim_s - frame.start_s).max(0.0);
+            self.stage(
+                inner,
+                RecordKind::SpanEnd,
+                frame.name,
+                sim_s,
+                frame.id,
+                parent,
+                &[("dur_s", Field::F64(dur))],
+            );
+            if self.diverted && frame.id == self.div_span {
+                self.verdict(inner, sim_s, dur);
+            }
+            if frame.id == id {
+                break;
+            }
+        }
+        if self.frames.is_empty() {
+            self.publish(inner);
+        }
+    }
+
+    /// A diverted query closed after `dur` simulated seconds: drop its
+    /// records if it was fast, keep them if slow — unless they overflowed,
+    /// in which case a partial tree would break nesting, so drop it and
+    /// say so.
+    fn verdict(&mut self, inner: &BusInner, sim_s: f64, dur: f64) {
+        self.diverted = false;
+        let overflowed = std::mem::take(&mut self.overflowed);
+        if dur < inner.keep_slow_s || overflowed {
+            self.staged = self.div_from;
+        }
+        if dur >= inner.keep_slow_s && overflowed {
+            inner.dropped_slow.fetch_add(1, Ordering::Relaxed);
+            let session = std::mem::take(&mut self.session);
+            self.stage(
+                inner,
+                RecordKind::Event,
+                "trace.slow_query_dropped",
+                sim_s,
+                0,
+                0,
+                &[("dur_s", Field::F64(dur))],
+            );
+            self.session = session;
+        }
+    }
+}
+
+impl Drop for ThreadTrace {
+    fn drop(&mut self) {
+        // Thread exit (or a dead bus's stack being pruned): publish what
+        // this thread staged, so finished work is never lost (a pending
+        // sampled-out query stays unpublished).
+        if let Some(inner) = self.bus.upgrade() {
+            self.publish(&inner);
+        }
+    }
 }
 
 thread_local! {
-    static STACKS: RefCell<Vec<SpanStack>> = const { RefCell::new(Vec::new()) };
+    static TRACES: RefCell<Vec<ThreadTrace>> = const { RefCell::new(Vec::new()) };
 }
 
-fn with_stack<R>(bus_id: u64, f: impl FnOnce(&mut SpanStack) -> R) -> R {
-    STACKS.with(|s| {
+fn with_thread<R>(inner: &Arc<BusInner>, f: impl FnOnce(&mut ThreadTrace) -> R) -> R {
+    TRACES.with(|s| {
         let mut v = s.borrow_mut();
-        let idx = match v.iter().position(|st| st.bus_id == bus_id) {
+        let idx = match v.iter().position(|t| t.bus_id == inner.bus_id) {
             Some(i) => i,
             None => {
                 if v.len() >= 16 {
-                    // Drop stacks of (likely dead) buses with no open spans.
-                    v.retain(|st| !st.frames.is_empty());
+                    // Drop the state of (likely dead) buses with no open
+                    // spans.
+                    v.retain(|t| !t.frames.is_empty());
                 }
-                v.push(SpanStack {
-                    bus_id,
-                    session: 0,
-                    frames: Vec::with_capacity(32),
-                });
+                v.push(ThreadTrace::new(inner));
                 v.len() - 1
             }
         };
@@ -945,15 +1121,13 @@ fn with_stack<R>(bus_id: u64, f: impl FnOnce(&mut SpanStack) -> R) -> R {
 
 struct BusInner {
     enabled: AtomicBool,
-    /// Keys this bus's thread-local span stacks.
+    /// Keys this bus's per-thread state.
     bus_id: u64,
     levels: [TraceLevel; Subsystem::COUNT],
-    seq: AtomicU64,
+    /// Some subsystem records less than everything: only then does a
+    /// record pay for classifying its name (see [`TraceBus::admits`]).
+    filtered: bool,
     next_span: AtomicU64,
-    /// Wall-clock Unix seconds (`f64` bits), refreshed once per root
-    /// span: per-record clock reads would dominate the fast path and the
-    /// field only exists to correlate traces with external logs.
-    wall_cache: AtomicU64,
     /// The retained ring (`Memory` sink) or the JSONL pending ring.
     ring: Option<SlotRing>,
     jsonl: Option<JsonlOut>,
@@ -961,19 +1135,40 @@ struct BusInner {
     sample_n: u64,
     keep_slow_s: f64,
     sample_counter: AtomicU64,
-    /// While set, records divert to `side` awaiting the slow/fast verdict.
-    diverted: AtomicBool,
-    side: Option<SlotRing>,
-    /// Side-ring claim at which the current diverted query began.
-    side_start: AtomicU64,
-    /// Slow sampled-out queries whose side buffer overflowed.
+    /// Slow sampled-out queries dropped because they outgrew `SIDE_CAP`.
     dropped_slow: AtomicU64,
+}
+
+impl BusInner {
+    /// Publish a batch of records to the ring, waking the JSONL writer
+    /// once a batch is pending.
+    fn sink(&self, recs: &[CompactRecord]) {
+        let Some(ring) = &self.ring else { return };
+        ring.push_all(recs);
+        if let Some(j) = &self.jsonl {
+            if ring.head().wrapping_sub(j.tail.load(Ordering::Relaxed)) >= JSONL_BATCH {
+                match j.writer.get() {
+                    Some(t) => t.unpark(),
+                    None => drain_jsonl(self, false),
+                }
+            }
+        }
+    }
 }
 
 impl Drop for BusInner {
     fn drop(&mut self) {
-        // Durability: drain + flush the JSONL tail even on panic unwind,
-        // so an aborted run leaves a parseable trace prefix.
+        // Durability: publish what the dropping thread staged, then drain
+        // and flush the JSONL tail, even on panic unwind, so an aborted
+        // run leaves a parseable trace prefix. (`try_with`: this may run
+        // while the thread's own staging state is being torn down.)
+        let _ = TRACES.try_with(|s| {
+            if let Ok(mut v) = s.try_borrow_mut() {
+                if let Some(t) = v.iter_mut().find(|t| t.bus_id == self.bus_id) {
+                    t.publish(self);
+                }
+            }
+        });
         drain_jsonl(self, true);
     }
 }
@@ -1000,7 +1195,7 @@ fn drain_jsonl(inner: &BusInner, force_flush: bool) {
     while *tail < head {
         match ring.read(*tail) {
             Some(rec) => {
-                rec.write_json(scratch, memo);
+                rec.write_json(*tail, scratch, memo);
                 scratch.push('\n');
                 *tail += 1;
             }
@@ -1030,7 +1225,42 @@ impl fmt::Debug for TraceBus {
     }
 }
 
+/// Wall-clock Unix seconds for the secondary `wall_unix_s` stamp.
+///
+/// On 64-bit Linux this reads `CLOCK_REALTIME_COARSE`: the kernel's
+/// last-tick time, a plain memory read in the vDSO (a few ns, against
+/// ~30 ns for the precise clock on a virtualized TSC). Its tick
+/// resolution (1–4 ms) is ample for a stamp that exists to line traces
+/// up with external logs.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 fn wall_now_s() -> f64 {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    }
+    const CLOCK_REALTIME_COARSE: i32 = 5;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` matches the 64-bit Linux `struct timespec` layout and
+    // outlives the call; clock_gettime only writes through the pointer.
+    if unsafe { clock_gettime(CLOCK_REALTIME_COARSE, &mut ts) } != 0 {
+        return precise_wall_now_s();
+    }
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn wall_now_s() -> f64 {
+    precise_wall_now_s()
+}
+
+fn precise_wall_now_s() -> f64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs_f64())
@@ -1056,24 +1286,20 @@ impl TraceBus {
                 enabled: AtomicBool::new(enabled),
                 bus_id: NEXT_BUS_ID.fetch_add(1, Ordering::Relaxed),
                 levels: cfg.levels,
-                seq: AtomicU64::new(0),
+                filtered: cfg.levels.iter().any(|&l| l != TraceLevel::All),
                 next_span: AtomicU64::new(1),
-                wall_cache: AtomicU64::new(wall_now_s().to_bits()),
                 ring,
                 jsonl,
                 sample_n,
                 keep_slow_s: cfg.keep_slow_s,
                 sample_counter: AtomicU64::new(0),
-                diverted: AtomicBool::new(false),
-                side: (sample_n > 1).then(|| SlotRing::new(SIDE_CAP)),
-                side_start: AtomicU64::new(0),
                 dropped_slow: AtomicU64::new(0),
             }),
         };
         if let Some(j) = &bus.inner.jsonl {
             // Serialization runs on a dedicated thread; the hot path only
             // pushes into the pending ring and unparks it per batch. If
-            // the spawn fails, `sink_main` falls back to inline drains.
+            // the spawn fails, `sink` falls back to inline drains.
             let weak = Arc::downgrade(&bus.inner);
             if let Ok(handle) = std::thread::Builder::new()
                 .name("heaven-trace-jsonl".into())
@@ -1128,71 +1354,17 @@ impl TraceBus {
     }
 
     /// Slow sampled-out queries dropped because their trace outgrew the
-    /// side buffer.
+    /// staging bound.
     pub fn dropped_slow(&self) -> u64 {
         self.inner.dropped_slow.load(Ordering::Relaxed)
     }
 
-    /// Route an already-built record to the main ring (slow-query
-    /// promotion); the hot path builds records in place via `emit`.
-    fn sink_main(&self, rec: &CompactRecord) {
+    /// Whether records named `name` pass the per-subsystem level `need`.
+    /// Free at the default levels; otherwise the name is classified
+    /// through the interner's pointer cache.
+    fn admits(&self, name: &'static str, need: TraceLevel) -> bool {
         let inner = &*self.inner;
-        let Some(ring) = &inner.ring else { return };
-        ring.push(rec);
-        if let Some(j) = &inner.jsonl {
-            if ring.head().wrapping_sub(j.tail.load(Ordering::Relaxed)) >= JSONL_BATCH {
-                match j.writer.get() {
-                    Some(t) => t.unpark(),
-                    None => drain_jsonl(inner, false),
-                }
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn emit(
-        &self,
-        kind: RecordKind,
-        name: Sym,
-        sim_s: f64,
-        span: u64,
-        parent: u64,
-        session: u64,
-        fields: &[(&'static str, Field)],
-    ) {
-        let inner = &*self.inner;
-        let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-        let wall_s = f64::from_bits(inner.wall_cache.load(Ordering::Relaxed));
-        // Build the record directly in its ring slot (see `push_with`):
-        // the hot path writes only the bytes this record actually uses.
-        let fill = |rec: &mut CompactRecord| {
-            rec.seq = seq;
-            rec.sim_s = sim_s;
-            rec.wall_s = wall_s;
-            rec.span = span;
-            rec.parent = parent;
-            rec.session = session;
-            rec.name = name;
-            rec.kind = kind as u8;
-            rec.sused = 0;
-            rec.encode_fields(fields);
-        };
-        if inner.diverted.load(Ordering::Relaxed) {
-            if let Some(side) = &inner.side {
-                side.push_with(fill);
-            }
-            return;
-        }
-        let Some(ring) = &inner.ring else { return };
-        ring.push_with(fill);
-        if let Some(j) = &inner.jsonl {
-            if ring.head().wrapping_sub(j.tail.load(Ordering::Relaxed)) >= JSONL_BATCH {
-                match j.writer.get() {
-                    Some(t) => t.unpark(),
-                    None => drain_jsonl(inner, false),
-                }
-            }
-        }
+        !inner.filtered || inner.levels[Sym::intern_static(name).subsystem() as usize] >= need
     }
 
     /// Declare the session the **current thread** works on behalf of;
@@ -1203,7 +1375,7 @@ impl TraceBus {
         if !self.is_enabled() {
             return;
         }
-        with_stack(self.inner.bus_id, |st| st.session = session);
+        with_thread(&self.inner, |t| t.session = session);
     }
 
     /// The current thread's declared session (0 = none).
@@ -1211,13 +1383,13 @@ impl TraceBus {
         if !self.is_enabled() {
             return 0;
         }
-        with_stack(self.inner.bus_id, |st| st.session)
+        with_thread(&self.inner, |t| t.session)
     }
 
     /// Record a causal link `from_span → to_span` (e.g. a waiter's fetch
     /// span to the shared `sched.batch` span that served it). Links cross
     /// thread and session boundaries, carry no nesting semantics, and
-    /// ride the same allocation-free compact-record path as spans.
+    /// ride the same allocation-free staged path as spans.
     /// No-op if either span id is 0 (disabled or level-filtered span).
     pub fn link(
         &self,
@@ -1230,20 +1402,28 @@ impl TraceBus {
         if !self.is_enabled() || from_span == 0 || to_span == 0 {
             return;
         }
-        let sym = Sym::intern_static(name);
-        if self.inner.levels[sym.subsystem() as usize] < TraceLevel::Spans {
+        if !self.admits(name, TraceLevel::Spans) {
             return;
         }
-        let session = with_stack(self.inner.bus_id, |st| st.session);
-        self.emit(
-            RecordKind::Link,
-            sym,
-            sim_s,
-            from_span,
-            to_span,
-            session,
-            fields,
-        );
+        let inner = &*self.inner;
+        with_thread(&self.inner, |t| {
+            let root = t.frames.is_empty();
+            if root {
+                t.wall_s = wall_now_s();
+            }
+            t.stage(
+                inner,
+                RecordKind::Link,
+                name,
+                sim_s,
+                from_span,
+                to_span,
+                fields,
+            );
+            if root {
+                t.publish(inner);
+            }
+        });
     }
 
     /// Open a span. Returns its id; pass it to [`TraceBus::span_end`].
@@ -1256,67 +1436,46 @@ impl TraceBus {
         if !self.is_enabled() {
             return 0;
         }
-        let sym = Sym::intern_static(name);
-        if self.inner.levels[sym.subsystem() as usize] < TraceLevel::Spans {
+        if !self.admits(name, TraceLevel::Spans) {
             return 0; // children attach to the grandparent: still nested
         }
-        let id = self.inner.next_span.fetch_add(1, Ordering::Relaxed);
-        let (parent, session) = with_stack(self.inner.bus_id, |st| {
-            let parent = st.frames.last().map_or(0, |f| f.id);
-            st.frames.push(Frame {
+        let inner = &*self.inner;
+        let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
+        with_thread(&self.inner, |t| {
+            let parent = t.frames.last().map_or(0, |f| f.id);
+            if parent == 0 {
+                // Root span: refresh the coarse wall-clock stamp shared by
+                // every record in this subtree.
+                t.wall_s = wall_now_s();
+            }
+            t.frames.push(Frame {
                 id,
-                name: sym,
+                name,
                 start_s: sim_s,
             });
-            (parent, st.session)
+            t.stage(
+                inner,
+                RecordKind::SpanStart,
+                name,
+                sim_s,
+                id,
+                parent,
+                fields,
+            );
         });
-        if parent == 0 {
-            // Root span: refresh the coarse wall-clock stamp shared by
-            // every record in this subtree.
-            self.inner
-                .wall_cache
-                .store(wall_now_s().to_bits(), Ordering::Relaxed);
-        }
-        self.emit(
-            RecordKind::SpanStart,
-            sym,
-            sim_s,
-            id,
-            parent,
-            session,
-            fields,
-        );
         id
     }
 
     /// Close a span. Any spans left open above it on the stack are closed
     /// first (with the same timestamp), so traces stay well-nested even
-    /// if an instrumented function returns early.
+    /// if an instrumented function returns early. Closing a root span
+    /// publishes its whole tree.
     pub fn span_end(&self, id: SpanId, sim_s: f64) {
         if !self.is_enabled() || id == 0 {
             return;
         }
-        with_stack(self.inner.bus_id, |st| {
-            if !st.frames.iter().any(|f| f.id == id) {
-                return; // unknown/already closed: ignore
-            }
-            while let Some(frame) = st.frames.pop() {
-                let parent = st.frames.last().map_or(0, |f| f.id);
-                let dur = (sim_s - frame.start_s).max(0.0);
-                self.emit(
-                    RecordKind::SpanEnd,
-                    frame.name,
-                    sim_s,
-                    frame.id,
-                    parent,
-                    st.session,
-                    &[("dur_s", Field::F64(dur))],
-                );
-                if frame.id == id {
-                    break;
-                }
-            }
-        });
+        let inner = &*self.inner;
+        with_thread(&self.inner, |t| t.end(inner, id, sim_s));
     }
 
     /// Record an instantaneous event inside the innermost open span.
@@ -1324,14 +1483,21 @@ impl TraceBus {
         if !self.is_enabled() {
             return;
         }
-        let sym = Sym::intern_static(name);
-        if self.inner.levels[sym.subsystem() as usize] < TraceLevel::All {
+        if !self.admits(name, TraceLevel::All) {
             return;
         }
-        let (parent, session) = with_stack(self.inner.bus_id, |st| {
-            (st.frames.last().map_or(0, |f| f.id), st.session)
+        let inner = &*self.inner;
+        with_thread(&self.inner, |t| {
+            let parent = t.frames.last().map_or(0, |f| f.id);
+            if parent == 0 {
+                // A root-level event is its own tree: fresh stamp.
+                t.wall_s = wall_now_s();
+            }
+            t.stage(inner, RecordKind::Event, name, sim_s, 0, parent, fields);
+            if parent == 0 {
+                t.publish(inner);
+            }
         });
-        self.emit(RecordKind::Event, sym, sim_s, 0, parent, session, fields);
     }
 
     /// RAII span helper: the span closes (at `end_sim_s` supplied then)
@@ -1349,8 +1515,8 @@ impl TraceBus {
     }
 
     /// Open a **bracketed query** span, applying head sampling: every
-    /// n-th query records normally; the rest divert to a side buffer and
-    /// are discarded at [`TraceBus::query_span_end`] unless slower than
+    /// n-th query records normally; the rest stay staged on their thread
+    /// and are discarded when they close unless slower than
     /// `keep_slow_s`.
     pub fn query_span_start(
         &self,
@@ -1362,81 +1528,69 @@ impl TraceBus {
             return 0;
         }
         let inner = &*self.inner;
-        if let Some(side) = &inner.side {
-            let c = inner.sample_counter.fetch_add(1, Ordering::Relaxed);
-            if !c.is_multiple_of(inner.sample_n) && !inner.diverted.load(Ordering::Relaxed) {
-                inner.side_start.store(side.head(), Ordering::Relaxed);
-                inner.diverted.store(true, Ordering::Relaxed);
-            }
+        let sample_out = inner.sample_n > 1
+            && !inner
+                .sample_counter
+                .fetch_add(1, Ordering::Relaxed)
+                .is_multiple_of(inner.sample_n);
+        let divert = sample_out
+            && with_thread(&self.inner, |t| {
+                if t.diverted {
+                    return false; // already inside a sampled-out query
+                }
+                t.diverted = true;
+                t.div_from = t.staged;
+                true
+            });
+        let id = self.span_start(name, sim_s, fields);
+        if divert {
+            with_thread(&self.inner, |t| {
+                t.div_span = id;
+                // A level-filtered query span never closes: nothing to hold.
+                t.diverted = id != 0;
+            });
         }
-        self.span_start(name, sim_s, fields)
+        id
     }
 
-    /// Close a bracketed query span and resolve its sampling verdict.
+    /// Close a bracketed query span; a sampled-out query's records are
+    /// kept or dropped here (see [`TraceBus::query_span_start`]).
     pub fn query_span_end(&self, id: SpanId, sim_s: f64) {
-        let start_s = with_stack(self.inner.bus_id, |st| {
-            st.frames.iter().find(|f| f.id == id).map(|f| f.start_s)
-        });
         self.span_end(id, sim_s);
-        let inner = &*self.inner;
-        if !inner.diverted.load(Ordering::Relaxed) {
-            return;
-        }
-        inner.diverted.store(false, Ordering::Relaxed);
-        let Some(side) = &inner.side else { return };
-        let dur = start_s.map_or(0.0, |s| (sim_s - s).max(0.0));
-        if dur < inner.keep_slow_s {
-            return; // fast sampled-out query: records are discarded
-        }
-        // Slow: promote the diverted records into the main stream.
-        let from = inner.side_start.load(Ordering::Relaxed);
-        let to = side.head();
-        if to.saturating_sub(from) > side.capacity() {
-            // The side ring lapped: a partial promotion would break
-            // well-nestedness, so drop the whole query and say so.
-            inner.dropped_slow.fetch_add(1, Ordering::Relaxed);
-            self.emit(
-                RecordKind::Event,
-                Sym::intern_static("trace.slow_query_dropped"),
-                sim_s,
-                0,
-                0,
-                0,
-                &[("dur_s", Field::F64(dur))],
-            );
-            return;
-        }
-        for claim in from..to {
-            if let Some(rec) = side.read(claim) {
-                self.sink_main(&rec);
-            }
-        }
     }
 
     /// Snapshot of retained records (ring sinks and the JSONL mirror),
-    /// ordered by `seq`.
+    /// ordered by `seq`. The calling thread's staged records are
+    /// published first; other threads' open span trees are not yet
+    /// visible.
     pub fn records(&self) -> Vec<TraceRecord> {
         let Some(ring) = &self.inner.ring else {
             return Vec::new();
         };
+        self.publish_here();
         let head = ring.head();
         let oldest = head.saturating_sub(ring.capacity());
-        let mut out: Vec<TraceRecord> = (oldest..head)
-            .filter_map(|c| ring.read(c))
-            .map(|r| r.to_record())
-            .collect();
-        out.sort_by_key(|r| r.seq);
-        out
+        (oldest..head)
+            .filter_map(|c| ring.read(c).map(|r| r.to_record(c)))
+            .collect()
     }
 
-    /// Flush buffered output (JSONL).
+    /// Publish the calling thread's staged records, then flush buffered
+    /// output (JSONL).
     pub fn flush(&self) {
+        self.publish_here();
         drain_jsonl(&self.inner, true);
+    }
+
+    fn publish_here(&self) {
+        if self.is_enabled() {
+            with_thread(&self.inner, |t| t.publish(&self.inner));
+        }
     }
 
     /// Depth of the open-span stack on this thread (tests, diagnostics).
     pub fn open_spans(&self) -> usize {
-        with_stack(self.inner.bus_id, |st| st.frames.len())
+        with_thread(&self.inner, |t| t.frames.len())
     }
 }
 
@@ -1552,6 +1706,49 @@ mod tests {
         let recs = bus.records();
         check_well_nested(&recs).unwrap();
         assert_eq!(bus.open_spans(), 0);
+    }
+
+    #[test]
+    fn root_trees_publish_whole_when_the_root_closes() {
+        use std::sync::mpsc;
+        let bus = TraceBus::ring(64);
+        let (opened, wait_opened) = mpsc::channel();
+        let (close, wait_close) = mpsc::channel::<()>();
+        let worker = {
+            let bus = bus.clone();
+            std::thread::spawn(move || {
+                let q = bus.span_start("query", 0.0, &[]);
+                bus.event("cache.st.hit", 0.5, &[]);
+                opened.send(()).unwrap();
+                wait_close.recv().unwrap();
+                bus.span_end(q, 1.0);
+            })
+        };
+        wait_opened.recv().unwrap();
+        // Another thread's open tree is still staged.
+        assert!(bus.records().is_empty());
+        bus.event("e", 0.2, &[]);
+        close.send(()).unwrap();
+        worker.join().unwrap();
+        let recs = bus.records();
+        let names: Vec<&str> = recs.iter().map(|r| r.name).collect();
+        assert_eq!(names, ["e", "query", "cache.st.hit", "query"]);
+        assert!(recs.windows(2).all(|w| w[1].seq == w[0].seq + 1));
+        check_well_nested(&recs).unwrap();
+    }
+
+    #[test]
+    fn thread_exit_publishes_staged_records() {
+        let bus = TraceBus::ring(64);
+        let worker = bus.clone();
+        std::thread::spawn(move || {
+            let _open = worker.span_start("query", 0.0, &[]);
+            worker.event("cache.st.hit", 0.5, &[]);
+        })
+        .join()
+        .unwrap();
+        let names: Vec<&str> = bus.records().iter().map(|r| r.name).collect();
+        assert_eq!(names, ["query", "cache.st.hit"]);
     }
 
     #[test]

@@ -106,6 +106,18 @@ if grep -n 'CellValue::read' crates/array/src/ops.rs; then
   exit 1
 fi
 
+echo "==> no per-point walks in region kernels"
+# Copy, slice, block folds and unaligned induced ops run on the row-run
+# walker (Minterval::row_runs); a point iterator or point_at in the
+# non-test code of mdd.rs/ops.rs brings back a Point and a division per
+# row. Each file's test module (its trailing #[cfg(test)] block) is exempt.
+for f in crates/array/src/mdd.rs crates/array/src/ops.rs; do
+  if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'iter_points(\|point_at('; then
+    echo "per-point walk in $f: use Minterval::row_runs"
+    exit 1
+  fi
+done
+
 echo "==> codec bench smoke"
 # One pass over all payload classes: schema keys present, the fast RLE
 # decode holds its margin over the scalar reference on run-heavy data,
