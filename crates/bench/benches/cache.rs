@@ -1,5 +1,7 @@
 //! Benchmarks of the cache hierarchy: super-tile cache under each eviction
-//! policy, and the memory tile cache.
+//! policy, and the memory tile cache, including evicting puts into a full
+//! cache at 1k, 4k and 16k resident tiles (the default 64 MiB tile cache
+//! holds ~16k 4 KiB tiles).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use heaven_array::{CellType, MDArray, Minterval, Tile};
@@ -51,5 +53,40 @@ fn bench_tile_cache(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_st_cache, bench_tile_cache);
+/// Evicting puts per timed iteration of [`bench_evicting_put`].
+const EVICTING_PUTS: u64 = 5000;
+
+fn bench_evicting_put(c: &mut Criterion) {
+    let dom = Minterval::new(&[(0, 31), (0, 31)]).unwrap();
+    let mut template = Tile::new(0, 1, MDArray::zeros(dom, CellType::F32));
+    template.data.freeze_payload(); // clones below are refcount bumps
+    let tile = |id: u64| {
+        let mut t = template.clone();
+        t.id = id;
+        t
+    };
+    for resident in [1024u64, 4096, 16384] {
+        // A full cache: every put of a new id evicts the LRU tile.
+        let cache = TileCache::new(resident * template.payload_bytes());
+        (0..resident).for_each(|id| cache.put(tile(id)));
+        let mut next = resident;
+        let name = format!("tile_cache/{EVICTING_PUTS} evicting puts, {resident} resident");
+        c.bench_function(&name, |b| {
+            b.iter(|| {
+                for _ in 0..EVICTING_PUTS {
+                    cache.put(tile(next));
+                    next += 1;
+                }
+            })
+        });
+        assert_eq!(cache.stats().evictions, next - resident);
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_st_cache,
+    bench_tile_cache,
+    bench_evicting_put
+);
 criterion_main!(benches);

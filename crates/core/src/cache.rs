@@ -2,20 +2,20 @@
 //!
 //! Three levels: main-memory **tile cache** (decoded tiles, free access) →
 //! secondary-storage **super-tile cache** (raw payloads, disk-cost access)
-//! → tertiary storage. The super-tile cache supports pluggable eviction
-//! strategies (§3.7.3): LRU, LFU, FIFO and a cost-aware policy weighting
-//! the tertiary refetch cost per byte — a super-tile that is expensive to
-//! re-fetch (deep on a rarely mounted medium) is kept longer.
+//! → tertiary storage. The super-tile cache's eviction policy is
+//! selectable (§3.7.3): LRU, LFU, FIFO, or cost-aware, which keeps a
+//! super-tile longer the more its tertiary refetch costs per byte. The
+//! tile cache is LRU.
 //!
-//! Both caches are **lock-striped**: entries live in N shards selected by
-//! a Fibonacci hash of the id, each shard behind its own cache-padded
-//! mutex, so concurrent sessions touching different super-tiles never
-//! serialize on one lock. All methods take `&self`; `new()` builds a
-//! single shard (byte-identical behavior to the pre-concurrency cache)
-//! and [`SuperTileCache::with_shards`] stripes for parallel load.
-//! Eviction and capacity are per shard (total capacity divided evenly),
-//! so `used() <= capacity()` holds at every instant. Time a caller spends
-//! blocked on a busy stripe is recorded in `cache.shard_lock_wait_s`.
+//! Both caches are typed fronts over one lock-striped core: N shards
+//! (picked by a Fibonacci hash of the id) behind their own mutexes, each
+//! owning `capacity / N` bytes, so `used() <= capacity()` always holds and
+//! time blocked on a busy stripe is recorded in `cache.shard_lock_wait_s`.
+//! Each shard picks victims from a lazy min-heap of `(rank, id)`
+//! (`Entry::rank`): puts, and hits that move a rank, push the new rank;
+//! eviction pops until a rank still matches a live entry — amortised
+//! O(log n), no scan under the lock. Eviction and admission (with the
+//! super-tile cache's disk charge and trace events) run under the lock.
 
 use crate::supertile::SuperTileId;
 use bytes::Bytes;
@@ -24,7 +24,8 @@ use heaven_array::{Tile, TileId};
 use heaven_obs::{Counter, FloatCounter, Histogram, MetricsRegistry, TraceBus};
 use heaven_tape::{DiskProfile, SimClock};
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
 /// Eviction strategy of the super-tile cache.
@@ -210,11 +211,19 @@ fn shard_index(id: u64, n: usize) -> usize {
     ((id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize) & (n - 1)
 }
 
+/// An eviction rank: the live entry with the least rank is the victim.
+type Rank = (u64, u64);
+
+/// A shard's heap is rebuilt from its live entries once it holds more than
+/// 2 × entries + `HEAP_SLACK` items.
+const HEAP_SLACK: usize = 64;
+
+/// One cached value with the counters every policy ranks by.
 #[derive(Debug)]
-struct StEntry {
-    payload: Bytes,
-    /// Accounted size in bytes (equals `payload.len()` for real entries;
-    /// may exceed it for phantom entries used by paper-scale experiments).
+struct Entry<V> {
+    value: V,
+    /// Accounted size in bytes (the payload length, or more for phantom
+    /// super-tile entries used by paper-scale experiments).
     size: u64,
     last_access: u64,
     access_count: u64,
@@ -223,60 +232,236 @@ struct StEntry {
     refetch_cost_s: f64,
 }
 
-/// One lock stripe of the super-tile cache.
-#[derive(Debug, Default)]
-struct StShard {
+impl<V> Entry<V> {
+    /// The entry's rank under `policy`. `last_access` and `insert_seq`
+    /// are stamps of one per-shard counter, so no two entries tie.
+    fn rank(&self, policy: EvictionPolicy) -> Rank {
+        match policy {
+            EvictionPolicy::Lru => (self.last_access, self.insert_seq),
+            EvictionPolicy::Lfu => (self.access_count, self.last_access),
+            EvictionPolicy::Fifo => (self.insert_seq, 0),
+            EvictionPolicy::CostAware => {
+                // refetch cost per byte, weighted by use, mapped to bits
+                // that sort like the float (`+ 0.0` folds in -0.0, set sign
+                // bits are flipped so negatives sort below zero)
+                let score =
+                    self.refetch_cost_s * self.access_count as f64 / (self.size.max(1) as f64);
+                debug_assert!(!score.is_nan(), "cost-aware score is NaN");
+                let bits = (score + 0.0).to_bits();
+                let key = if bits >> 63 == 1 {
+                    !bits
+                } else {
+                    bits | 1 << 63
+                };
+                (key, self.insert_seq)
+            }
+        }
+    }
+}
+
+/// One lock stripe.
+#[derive(Debug)]
+struct Shard<V> {
     capacity: u64,
     used: u64,
-    entries: HashMap<SuperTileId, StEntry>,
+    entries: HashMap<u64, Entry<V>>,
+    /// Lazy-deletion min-heap of `(rank, id)`. An item is live while it
+    /// equals its entry's current rank; stale items are dropped when
+    /// popped.
+    heap: BinaryHeap<Reverse<(Rank, u64)>>,
     counter: u64,
 }
 
-impl StShard {
-    fn pick_victim(&self, policy: EvictionPolicy) -> Option<SuperTileId> {
-        let score = |e: &StEntry| -> f64 {
-            match policy {
-                EvictionPolicy::Lru => e.last_access as f64,
-                EvictionPolicy::Lfu => e.access_count as f64 * 1e12 + e.last_access as f64,
-                EvictionPolicy::Fifo => e.insert_seq as f64,
-                EvictionPolicy::CostAware => {
-                    // keep entries whose refetch is expensive per byte and
-                    // that are used often; evict the cheapest-to-lose first
-                    e.refetch_cost_s * e.access_count as f64 / (e.size.max(1) as f64)
-                }
-            }
-        };
-        // Ties go to the oldest entry, so the victim never depends on
-        // `HashMap` iteration order.
-        self.entries
-            .iter()
-            .min_by(|(_, a), (_, b)| {
-                score(a)
-                    .partial_cmp(&score(b))
-                    .expect("no NaN")
-                    .then(a.insert_seq.cmp(&b.insert_seq))
-            })
-            .map(|(&id, _)| id)
+impl<V> Shard<V> {
+    fn new(capacity: u64) -> Shard<V> {
+        Shard {
+            capacity,
+            used: 0,
+            entries: HashMap::new(),
+            heap: BinaryHeap::new(),
+            counter: 0,
+        }
     }
+
+    /// Push a rank, rebuilding the heap from the live entries once stale
+    /// items outnumber them (bounds the heap at 2 × entries + slack).
+    fn push(&mut self, policy: EvictionPolicy, rank: Rank, id: u64) {
+        self.heap.push(Reverse((rank, id)));
+        if self.heap.len() > 2 * self.entries.len() + HEAP_SLACK {
+            let live = self
+                .entries
+                .iter()
+                .map(|(&id, e)| Reverse((e.rank(policy), id)));
+            self.heap = live.collect();
+        }
+    }
+
+    fn remove(&mut self, id: u64) -> Option<Entry<V>> {
+        let e = self.entries.remove(&id)?;
+        self.used -= e.size;
+        Some(e)
+    }
+}
+
+/// The striped core under both caches: shards, policy, and the metrics
+/// every level keeps.
+#[derive(Debug)]
+struct Stripes<V> {
+    capacity: u64,
+    policy: EvictionPolicy,
+    shards: Box<[CachePadded<Mutex<Shard<V>>>]>,
+    metrics: CacheMetrics,
+}
+
+impl<V> Stripes<V> {
+    /// `shards` stripes (rounded up to a power of two) of
+    /// `capacity / shards` bytes each.
+    fn new(capacity: u64, policy: EvictionPolicy, shards: usize, names: CacheMetricNames) -> Self {
+        let n = shards.max(1).next_power_of_two();
+        let per_shard = capacity / n as u64;
+        let shard = |_| CachePadded::new(Mutex::new(Shard::new(per_shard)));
+        Stripes {
+            capacity: per_shard * n as u64,
+            policy,
+            shards: (0..n).map(shard).collect(),
+            metrics: CacheMetrics::new(&MetricsRegistry::new(), names),
+        }
+    }
+
+    /// Lock the stripe owning `id`, folding any blocked host time into
+    /// `cache.shard_lock_wait_s`.
+    fn lock(&self, id: u64) -> MutexGuard<'_, Shard<V>> {
+        let (guard, wait_s) = self.shards[shard_index(id, self.shards.len())].lock_timed();
+        if wait_s > 0.0 {
+            self.metrics.lock_wait_s.add(wait_s);
+        }
+        guard
+    }
+
+    /// Look up `id`, counting the hit or miss; on a hit, refresh its
+    /// rank and run `hit` on the entry under the stripe lock.
+    fn get<R>(&self, id: u64, hit: impl FnOnce(&Entry<V>) -> R) -> Option<R> {
+        let mut shard = self.lock(id);
+        shard.counter += 1;
+        let now = shard.counter;
+        let Some(e) = shard.entries.get_mut(&id) else {
+            self.metrics.misses.inc();
+            return None;
+        };
+        let old = e.rank(self.policy);
+        e.last_access = now;
+        e.access_count += 1;
+        let rank = e.rank(self.policy);
+        self.metrics.hits.inc();
+        self.metrics.bytes_served.add(e.size);
+        let r = hit(e);
+        // FIFO ranks, and cost-aware ranks at zero cost, never move
+        if rank != old {
+            shard.push(self.policy, rank, id);
+        }
+        Some(r)
+    }
+
+    /// Admit `value` as `size` bytes, evicting the least-ranked entries
+    /// until it fits. Under the stripe lock, `evict` sees each victim's id
+    /// and size, then `admit` runs once the value fits. A value larger
+    /// than the shard is not admitted.
+    fn put(
+        &self,
+        id: u64,
+        value: V,
+        size: u64,
+        cost: f64,
+        mut evict: impl FnMut(u64, u64),
+        admit: impl FnOnce(),
+    ) {
+        let mut shard = self.lock(id);
+        if size > shard.capacity {
+            return;
+        }
+        shard.remove(id);
+        while shard.used + size > shard.capacity {
+            let Some(Reverse((rank, victim))) = shard.heap.pop() else {
+                return;
+            };
+            if shard
+                .entries
+                .get(&victim)
+                .is_some_and(|e| e.rank(self.policy) == rank)
+            {
+                let e = shard.remove(victim).expect("live victim");
+                self.metrics.evictions.inc();
+                evict(victim, e.size);
+            }
+        }
+        admit();
+        shard.counter += 1;
+        let e = Entry {
+            value,
+            size,
+            last_access: shard.counter,
+            access_count: 1,
+            insert_seq: shard.counter,
+            refetch_cost_s: cost,
+        };
+        let rank = e.rank(self.policy);
+        shard.entries.insert(id, e);
+        shard.used += size;
+        shard.push(self.policy, rank, id);
+    }
+}
+
+/// The public methods both cache fronts share, forwarded to their core.
+macro_rules! front_methods {
+    ($id:ty) => {
+        /// Cache statistics (a view over the metrics registry).
+        pub fn stats(&self) -> CacheStats {
+            self.core.metrics.stats()
+        }
+
+        /// Bytes currently cached, rolled up across shards.
+        pub fn used(&self) -> u64 {
+            self.core.shards.iter().map(|s| s.lock().used).sum()
+        }
+
+        /// Capacity in bytes (sum of the per-shard capacities).
+        pub fn capacity(&self) -> u64 {
+            self.core.capacity
+        }
+
+        /// Number of lock stripes.
+        pub fn shard_count(&self) -> usize {
+            self.core.shards.len()
+        }
+
+        /// Drop an entry (e.g. after its object was rewritten).
+        pub fn invalidate(&self, id: $id) {
+            self.core.lock(id).remove(id);
+        }
+
+        /// Drop everything.
+        pub fn clear(&self) {
+            for stripe in self.core.shards.iter() {
+                let mut shard = stripe.lock();
+                *shard = Shard::new(shard.capacity);
+            }
+        }
+    };
 }
 
 /// The disk-resident super-tile cache (lock-striped, shareable by `&self`
 /// across session threads).
 #[derive(Debug)]
 pub struct SuperTileCache {
-    capacity: u64,
-    policy: EvictionPolicy,
-    shards: Box<[CachePadded<Mutex<StShard>>]>,
-    metrics: CacheMetrics,
+    core: Stripes<Bytes>,
     bus: TraceBus,
     disk: Option<(DiskProfile, SimClock)>,
 }
 
 impl SuperTileCache {
-    /// Create a single-shard cache of `capacity` bytes — the exact
-    /// behavior of the pre-concurrency cache. When `disk` is given, hits
-    /// and stores charge disk I/O costs to the clock (the cache lives on
-    /// secondary storage).
+    /// Create a single-shard cache of `capacity` bytes. When `disk` is
+    /// given, hits and stores charge disk I/O costs to the clock (the
+    /// cache lives on secondary storage).
     pub fn new(
         capacity: u64,
         policy: EvictionPolicy,
@@ -294,21 +479,8 @@ impl SuperTileCache {
         disk: Option<(DiskProfile, SimClock)>,
         shards: usize,
     ) -> SuperTileCache {
-        let n = shards.max(1).next_power_of_two();
-        let per_shard = capacity / n as u64;
-        let shards: Box<[_]> = (0..n)
-            .map(|_| {
-                CachePadded::new(Mutex::new(StShard {
-                    capacity: per_shard,
-                    ..StShard::default()
-                }))
-            })
-            .collect();
         SuperTileCache {
-            capacity: per_shard * n as u64,
-            policy,
-            shards,
-            metrics: CacheMetrics::new(&MetricsRegistry::new(), ST_CACHE_NAMES),
+            core: Stripes::new(capacity, policy, shards, ST_CACHE_NAMES),
             bus: TraceBus::noop(),
             disk,
         }
@@ -318,60 +490,30 @@ impl SuperTileCache {
     /// admit/evict events to a trace bus; values accumulated so far carry
     /// over.
     pub fn attach_obs(&mut self, registry: &MetricsRegistry, bus: TraceBus) {
-        self.metrics.rebind(registry);
+        self.core.metrics.rebind(registry);
         self.bus = bus;
     }
 
-    /// Cache statistics (a view over the metrics registry).
-    pub fn stats(&self) -> CacheStats {
-        self.metrics.stats()
-    }
-
-    /// Bytes currently cached, rolled up across shards.
-    pub fn used(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().used).sum()
-    }
-
-    /// Capacity in bytes (sum of the per-shard capacities).
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
+    front_methods!(SuperTileId);
 
     /// The eviction policy.
     pub fn policy(&self) -> EvictionPolicy {
-        self.policy
+        self.core.policy
     }
 
     /// Whether a super-tile is cached (no stats/cost effect).
     pub fn contains(&self, st: SuperTileId) -> bool {
-        self.lock_shard(st).entries.contains_key(&st)
+        self.core.lock(st).entries.contains_key(&st)
     }
 
-    /// Lock the stripe owning `st`, folding any blocked host time into
-    /// `cache.shard_lock_wait_s`.
-    fn lock_shard(&self, st: SuperTileId) -> MutexGuard<'_, StShard> {
-        let (guard, wait_s) = self.shards[shard_index(st, self.shards.len())].lock_timed();
-        if wait_s > 0.0 {
-            self.metrics.lock_wait_s.add(wait_s);
-        }
-        guard
-    }
-
-    /// Advance a clock by the disk access cost and return the seconds
-    /// charged (0 for a memory-resident cache). Costs go to `lane` when
-    /// given (a session's private time lane), else to the shared clock.
-    fn charge(&self, bytes: u64, lane: Option<&SimClock>) -> f64 {
+    /// Charge and record the disk access cost of `bytes` (none for a
+    /// memory-resident cache) to `lane`, else to the shared clock.
+    fn charge(&self, bytes: u64, lane: Option<&SimClock>) {
         if let Some((profile, clock)) = &self.disk {
             let s = profile.access_time_s(bytes);
             lane.unwrap_or(clock).advance_s(s);
-            s
-        } else {
-            0.0
+            self.core.metrics.io_s.add(s);
+            self.core.metrics.io_hist.observe(s);
         }
     }
 
@@ -398,36 +540,20 @@ impl SuperTileCache {
     }
 
     fn get_impl(&self, st: SuperTileId, lane: Option<&SimClock>) -> Option<Bytes> {
-        let mut shard = self.lock_shard(st);
-        shard.counter += 1;
-        let counter = shard.counter;
-        match shard.entries.get_mut(&st) {
-            Some(e) => {
-                e.last_access = counter;
-                e.access_count += 1;
-                self.metrics.hits.inc();
-                self.metrics.bytes_served.add(e.size);
-                let size = e.size;
-                let payload = e.payload.clone();
-                let io = self.charge(size, lane);
-                self.metrics.io_s.add(io);
-                if self.disk.is_some() {
-                    self.metrics.io_hist.observe(io);
-                }
-                self.bus.event(
-                    "cache.st.hit",
-                    self.now_s(lane),
-                    &[("st", st.into()), ("bytes", size.into())],
-                );
-                Some(payload)
-            }
-            None => {
-                self.metrics.misses.inc();
-                self.bus
-                    .event("cache.st.miss", self.now_s(lane), &[("st", st.into())]);
-                None
-            }
+        let hit = self.core.get(st, |e| {
+            self.charge(e.size, lane);
+            self.bus.event(
+                "cache.st.hit",
+                self.now_s(lane),
+                &[("st", st.into()), ("bytes", e.size.into())],
+            );
+            e.value.clone()
+        });
+        if hit.is_none() {
+            self.bus
+                .event("cache.st.miss", self.now_s(lane), &[("st", st.into())]);
         }
+        hit
     }
 
     /// Insert a payload with its estimated tertiary refetch cost; evicts
@@ -435,9 +561,8 @@ impl SuperTileCache {
     /// admitted. Accepts anything convertible to [`Bytes`] (`Vec<u8>`
     /// converts in O(1)).
     pub fn put(&self, st: SuperTileId, payload: impl Into<Bytes>, refetch_cost_s: f64) {
-        let payload = payload.into();
-        let size = payload.len() as u64;
-        self.put_sized(st, payload, size, refetch_cost_s, None);
+        let payload: Bytes = payload.into();
+        self.put_sized(st, payload.len() as u64, payload, refetch_cost_s, None);
     }
 
     /// [`SuperTileCache::put`] charging the disk cost to a session's
@@ -449,115 +574,57 @@ impl SuperTileCache {
         refetch_cost_s: f64,
         lane: &SimClock,
     ) {
-        let payload = payload.into();
+        let payload: Bytes = payload.into();
         let size = payload.len() as u64;
-        self.put_sized(st, payload, size, refetch_cost_s, Some(lane));
+        self.put_sized(st, size, payload, refetch_cost_s, Some(lane));
     }
 
     /// Insert a phantom entry: accounted as `size` bytes without holding
     /// them (paper-scale experiments). Lookups return an empty payload.
     pub fn put_phantom(&self, st: SuperTileId, size: u64, refetch_cost_s: f64) {
-        self.put_sized(st, Bytes::new(), size, refetch_cost_s, None);
+        self.put_sized(st, size, Bytes::new(), refetch_cost_s, None);
     }
 
     fn put_sized(
         &self,
         st: SuperTileId,
-        payload: Bytes,
         size: u64,
-        refetch_cost_s: f64,
+        payload: Bytes,
+        refetch_s: f64,
         lane: Option<&SimClock>,
     ) {
-        let mut shard = self.lock_shard(st);
-        if size > shard.capacity {
-            return;
-        }
-        if let Some(old) = shard.entries.remove(&st) {
-            shard.used -= old.size;
-        }
-        while shard.used + size > shard.capacity {
-            match shard.pick_victim(self.policy) {
-                Some(victim) => {
-                    let e = shard.entries.remove(&victim).expect("victim exists");
-                    shard.used -= e.size;
-                    self.metrics.evictions.inc();
-                    self.bus.event(
-                        "cache.st.evict",
-                        self.now_s(lane),
-                        &[
-                            ("st", victim.into()),
-                            ("bytes", e.size.into()),
-                            ("policy", self.policy.name().into()),
-                        ],
-                    );
-                }
-                None => return,
-            }
-        }
-        shard.counter += 1;
-        let counter = shard.counter;
-        let io = self.charge(size, lane);
-        self.metrics.io_s.add(io);
-        if self.disk.is_some() {
-            self.metrics.io_hist.observe(io);
-        }
-        self.bus.event(
-            "cache.st.admit",
-            self.now_s(lane),
-            &[
-                ("st", st.into()),
-                ("bytes", size.into()),
-                ("refetch_s", refetch_cost_s.into()),
-            ],
-        );
-        shard.entries.insert(
-            st,
-            StEntry {
-                payload,
-                size,
-                last_access: counter,
-                access_count: 1,
-                insert_seq: counter,
-                refetch_cost_s,
-            },
-        );
-        shard.used += size;
+        let evict = |victim: u64, bytes: u64| {
+            self.bus.event(
+                "cache.st.evict",
+                self.now_s(lane),
+                &[
+                    ("st", victim.into()),
+                    ("bytes", bytes.into()),
+                    ("policy", self.core.policy.name().into()),
+                ],
+            );
+        };
+        let admit = || {
+            self.charge(size, lane);
+            self.bus.event(
+                "cache.st.admit",
+                self.now_s(lane),
+                &[
+                    ("st", st.into()),
+                    ("bytes", size.into()),
+                    ("refetch_s", refetch_s.into()),
+                ],
+            );
+        };
+        self.core.put(st, payload, size, refetch_s, evict, admit);
     }
-
-    /// Drop an entry (e.g. after the super-tile was rewritten).
-    pub fn invalidate(&self, st: SuperTileId) {
-        let mut shard = self.lock_shard(st);
-        if let Some(e) = shard.entries.remove(&st) {
-            shard.used -= e.size;
-        }
-    }
-
-    /// Drop everything.
-    pub fn clear(&self) {
-        for stripe in self.shards.iter() {
-            let mut shard = stripe.lock();
-            shard.entries.clear();
-            shard.used = 0;
-        }
-    }
-}
-
-/// One lock stripe of the tile cache.
-#[derive(Debug, Default)]
-struct MemShard {
-    capacity: u64,
-    used: u64,
-    entries: HashMap<TileId, (Tile, u64)>,
-    counter: u64,
 }
 
 /// The main-memory tile cache: decoded tiles, LRU, no access cost.
 /// Lock-striped like [`SuperTileCache`]; `new()` is single-shard.
 #[derive(Debug)]
 pub struct TileCache {
-    capacity: u64,
-    shards: Box<[CachePadded<Mutex<MemShard>>]>,
-    metrics: CacheMetrics,
+    core: Stripes<Tile>,
 }
 
 impl TileCache {
@@ -569,76 +636,24 @@ impl TileCache {
     /// Create a tile cache striped over `shards` locks (rounded up to a
     /// power of two), each owning `capacity / shards` bytes.
     pub fn with_shards(capacity: u64, shards: usize) -> TileCache {
-        let n = shards.max(1).next_power_of_two();
-        let per_shard = capacity / n as u64;
-        let shards: Box<[_]> = (0..n)
-            .map(|_| {
-                CachePadded::new(Mutex::new(MemShard {
-                    capacity: per_shard,
-                    ..MemShard::default()
-                }))
-            })
-            .collect();
         TileCache {
-            capacity: per_shard * n as u64,
-            shards,
-            metrics: CacheMetrics::new(&MetricsRegistry::new(), MEM_CACHE_NAMES),
+            core: Stripes::new(capacity, EvictionPolicy::Lru, shards, MEM_CACHE_NAMES),
         }
     }
 
     /// Attach the cache's counters to a shared metrics registry; values
     /// accumulated so far carry over.
     pub fn attach_obs(&mut self, registry: &MetricsRegistry) {
-        self.metrics.rebind(registry);
+        self.core.metrics.rebind(registry);
     }
 
-    /// Cache statistics (a view over the metrics registry).
-    pub fn stats(&self) -> CacheStats {
-        self.metrics.stats()
-    }
-
-    /// Bytes currently cached, rolled up across shards.
-    pub fn used(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().used).sum()
-    }
-
-    /// Capacity in bytes (sum of the per-shard capacities).
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn lock_shard(&self, id: TileId) -> MutexGuard<'_, MemShard> {
-        let (guard, wait_s) = self.shards[shard_index(id, self.shards.len())].lock_timed();
-        if wait_s > 0.0 {
-            self.metrics.lock_wait_s.add(wait_s);
-        }
-        guard
-    }
+    front_methods!(TileId);
 
     /// Look up a tile. The returned tile shares the cached payload (the
     /// clone is a refcount bump); a caller that mutates it detaches via
     /// copy-on-write without disturbing the cached copy.
     pub fn get(&self, id: TileId) -> Option<Tile> {
-        let mut shard = self.lock_shard(id);
-        shard.counter += 1;
-        let c = shard.counter;
-        match shard.entries.get_mut(&id) {
-            Some((t, last)) => {
-                *last = c;
-                self.metrics.hits.inc();
-                self.metrics.bytes_served.add(t.payload_bytes());
-                Some(t.clone())
-            }
-            None => {
-                self.metrics.misses.inc();
-                None
-            }
-        }
+        self.core.get(id, |e| e.value.clone())
     }
 
     /// Insert a tile, evicting LRU entries as needed. The payload is
@@ -646,49 +661,7 @@ impl TileCache {
     pub fn put(&self, mut tile: Tile) {
         tile.data.freeze_payload();
         let len = tile.payload_bytes();
-        let mut shard = self.lock_shard(tile.id);
-        if len > shard.capacity {
-            return;
-        }
-        if let Some((old, _)) = shard.entries.remove(&tile.id) {
-            shard.used -= old.payload_bytes();
-        }
-        while shard.used + len > shard.capacity {
-            let victim = shard
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, last))| *last)
-                .map(|(&id, _)| id);
-            match victim {
-                Some(v) => {
-                    let (t, _) = shard.entries.remove(&v).expect("victim exists");
-                    shard.used -= t.payload_bytes();
-                    self.metrics.evictions.inc();
-                }
-                None => return,
-            }
-        }
-        shard.counter += 1;
-        let counter = shard.counter;
-        shard.used += len;
-        shard.entries.insert(tile.id, (tile, counter));
-    }
-
-    /// Drop an entry.
-    pub fn invalidate(&self, id: TileId) {
-        let mut shard = self.lock_shard(id);
-        if let Some((t, _)) = shard.entries.remove(&id) {
-            shard.used -= t.payload_bytes();
-        }
-    }
-
-    /// Drop everything.
-    pub fn clear(&self) {
-        for stripe in self.shards.iter() {
-            let mut shard = stripe.lock();
-            shard.entries.clear();
-            shard.used = 0;
-        }
+        self.core.put(tile.id, tile, len, 0.0, |_, _| {}, || {});
     }
 }
 
@@ -782,6 +755,42 @@ mod tests {
     }
 
     #[test]
+    fn lfu_breaks_count_ties_by_recency_after_many_hits() {
+        // 9,999 rounds push the counts past the point where a composite
+        // `count × 1e12 + last_access` float loses the recency stamp.
+        for rounds in [99u64, 9_999] {
+            let c = cache(2048, EvictionPolicy::Lfu);
+            c.put(1, payload(1024, 1), 1.0);
+            c.put(2, payload(1024, 2), 1.0);
+            for _ in 0..rounds {
+                c.get(2);
+                c.get(1);
+            }
+            c.put(3, payload(1024, 3), 1.0); // equal counts: 2 is older
+            assert!(c.contains(1), "{rounds} rounds: 1 is the recent one");
+            assert!(!c.contains(2), "{rounds} rounds: 2 must be evicted");
+        }
+    }
+
+    #[test]
+    fn victim_heap_stays_bounded_without_evictions() {
+        for policy in EvictionPolicy::all() {
+            let c = cache(1 << 20, policy);
+            for id in 0..8u64 {
+                c.put(id, payload(100, id as u8), 1.0 + id as f64);
+            }
+            for i in 0..100_000u64 {
+                c.get(i % 8);
+                let shard = c.core.shards[0].lock();
+                assert!(shard.heap.len() <= 2 * shard.entries.len() + HEAP_SLACK);
+            }
+            assert_eq!(c.stats().evictions, 0);
+            c.put(100, payload(1 << 20, 0), 1.0); // evicts all 8 from the heap
+            assert_eq!((c.stats().evictions, c.used()), (8, 1 << 20), "{policy:?}");
+        }
+    }
+
+    #[test]
     fn cost_aware_keeps_expensive_refetches() {
         let c = cache(300, EvictionPolicy::CostAware);
         c.put(1, payload(100, 1), 120.0); // expensive to refetch
@@ -790,6 +799,21 @@ mod tests {
         c.put(4, payload(100, 4), 60.0); // evicts 2
         assert!(c.contains(1));
         assert!(!c.contains(2));
+    }
+
+    #[test]
+    fn cost_aware_orders_zero_and_negative_costs() {
+        let c = cache(300, EvictionPolicy::CostAware);
+        c.put(1, payload(100, 1), 0.0);
+        c.put(2, payload(100, 2), -5.0);
+        c.put(3, payload(100, 3), -1.0);
+        c.get(1); // a zero cost keeps a zero score
+        c.put(4, payload(100, 4), 0.0); // most negative score first
+        assert!(!c.contains(2) && c.contains(3));
+        c.put(5, payload(100, 5), 1.0);
+        assert!(!c.contains(3) && c.contains(1));
+        c.put(6, payload(100, 6), 1.0); // zero ties: the older insert
+        assert!(!c.contains(1) && c.contains(4));
     }
 
     #[test]

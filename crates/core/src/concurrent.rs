@@ -31,11 +31,13 @@
 //!   window closes as soon as every open session has a request queued,
 //!   so no peer is left to join, or when it runs out), then stages the
 //!   merged batch in one scheduled sweep (mounted-media first, ascending
-//!   offsets, drive-parallel rounds). Which requests share a batch
-//!   therefore depends on what the sessions ask for, not on thread
-//!   timing, as long as every open session keeps querying. Duplicate
-//!   super-tile requests **coalesce**: one tape fetch resolves every
-//!   waiting session (`sched.coalesced_fetches` counts the saved
+//!   offsets, drive-parallel rounds). A drainer that vacates its seat
+//!   wakes the sessions that queued behind it, so the next drainer is
+//!   elected at once, not after a timed wait. Which requests share a
+//!   batch therefore depends on what the sessions ask for, not on
+//!   thread timing, as long as every open session keeps querying.
+//!   Duplicate super-tile requests **coalesce**: one tape fetch resolves
+//!   every waiting session (`sched.coalesced_fetches` counts the saved
 //!   fetches).
 //!
 //! Each [`Session`] forks the shared [`SimClock`] into a private lane and
@@ -256,7 +258,8 @@ type Outcome = std::result::Result<Served, FetchFailure>;
 
 /// One in-flight tertiary fetch; every session waiting on the same
 /// super-tile holds the same `Arc<Inflight>` and reads the same outcome.
-/// `done` is signalled exactly once, when the slot is filled.
+/// `done` is signalled when the slot is filled, and when a drainer
+/// vacates its seat with the fetch still unresolved.
 #[derive(Debug, Default)]
 struct Inflight {
     slot: Mutex<Option<Outcome>>,
@@ -299,6 +302,9 @@ pub(crate) struct FetchBatcher {
     inflight: Mutex<HashMap<SuperTileId, Arc<Inflight>>>,
     drain: Mutex<()>,
     window: Duration,
+    /// Bumped when a drainer starts staging and again just before it
+    /// vacates the seat: odd while a drain is under way.
+    seat: AtomicU64,
 }
 
 impl FetchBatcher {
@@ -309,6 +315,7 @@ impl FetchBatcher {
             inflight: Mutex::new(HashMap::new()),
             drain: Mutex::new(()),
             window,
+            seat: AtomicU64::new(0),
         }
     }
 
@@ -357,7 +364,8 @@ impl FetchBatcher {
             match self.drain.try_lock() {
                 // Re-check under the seat: the drainer it was just taken
                 // from may have resolved the entry.
-                Some(_drainer) if entry.slot.lock().is_none() => {
+                Some(drainer) if entry.slot.lock().is_none() => {
+                    self.seat.fetch_add(1, Ordering::AcqRel);
                     // Requeued retries and replica failovers are staged
                     // before the drainer seat is vacated, so their
                     // coalesced waiters are never stranded behind an empty
@@ -367,14 +375,30 @@ impl FetchBatcher {
                         self.drain_all(h, batch);
                         batch = std::mem::take(&mut self.queue.lock().requeued);
                     }
+                    self.seat.fetch_add(1, Ordering::AcqRel);
+                    drop(drainer);
+                    // Sessions that queued while this drain ran sleep
+                    // only behind it: wake them to elect the next drainer.
+                    for e in self.inflight.lock().values() {
+                        let _slot = e.slot.lock();
+                        e.done.notify_all();
+                    }
                 }
                 Some(_) => {}
                 None => {
+                    let seat = self.seat.load(Ordering::Acquire);
+                    if seat.is_multiple_of(2) {
+                        // The seat is held only for an election: retry.
+                        std::hint::spin_loop();
+                        continue;
+                    }
+                    // Sleep only behind the drain seen above: it wakes
+                    // every unresolved entry after it vacates, and the
+                    // slot lock held from this check to the park keeps
+                    // that wake-up from slipping in between. The timeout
+                    // is a backstop.
                     let slot = entry.slot.lock();
-                    if slot.is_none() {
-                        // Timed wait: if the drainer vacated between our
-                        // slot check and this park, the timeout re-runs
-                        // the drainer election above.
+                    if slot.is_none() && self.seat.load(Ordering::Acquire) == seat {
                         let _ = entry.done.wait_for(slot, Duration::from_millis(1));
                     }
                 }
@@ -550,7 +574,7 @@ impl FetchBatcher {
                         // staging start → notify.
                         let queue_s = (t0 - p.enqueue_s).max(0.0);
                         let service_s = (done_s - t0).max(0.0);
-                        let refetch_s = store.estimate_read_s(r.addr);
+                        let refetch_s = store.refetch_cost_s(r.addr);
                         match h.admit(r.st, r.addr, raw, service_s, refetch_s) {
                             Ok(payload) => {
                                 h.metrics.queue_wait.observe(queue_s);
@@ -1116,7 +1140,7 @@ impl ConcurrentHeaven {
             )?;
             let t1 = store.clock().now_s();
             lane.advance_to_s(t1);
-            (raw, t1 - t0, store.estimate_read_s(addr))
+            (raw, t1 - t0, store.refetch_cost_s(addr))
         };
         self.admit(st, addr, raw, dt, refetch_s)
     }

@@ -4,10 +4,11 @@
 use heaven_array::{CellType, LinearOrder, MDArray, Minterval, Point, Tile, Tiling};
 use heaven_core::{
     count_exchanges, decode_all, encode_supertile, estar_partition, schedule, star_partition,
-    AccessPattern, EvictionPolicy, FetchRequest, SuperTileCache, TileInfo,
+    AccessPattern, EvictionPolicy, FetchRequest, SuperTileCache, TileCache, TileInfo,
 };
 use heaven_hsm::BlockAddress;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn tile_infos(gx: u64, gy: u64, bytes: u64) -> (Vec<TileInfo>, Vec<u64>) {
     let dom = Minterval::new(&[(0, gx as i64 * 10 - 1), (0, gy as i64 * 10 - 1)]).unwrap();
@@ -29,6 +30,139 @@ fn tile_infos(gx: u64, gy: u64, bytes: u64) -> (Vec<TileInfo>, Vec<u64>) {
         .collect();
     (tiles, shape)
 }
+
+/// One entry of [`RefCache`].
+#[derive(Debug)]
+struct RefEntry {
+    size: u64,
+    last_access: u64,
+    access_count: u64,
+    insert_seq: u64,
+    refetch_cost_s: f64,
+}
+
+/// One stripe of [`RefCache`].
+#[derive(Debug, Default)]
+struct RefShard {
+    capacity: u64,
+    used: u64,
+    counter: u64,
+    entries: HashMap<u64, RefEntry>,
+}
+
+impl RefShard {
+    /// The linear-scan victim choice the cache's victim heap replaced:
+    /// least float score, ties to the oldest insert.
+    fn pick_victim(&self, policy: EvictionPolicy) -> Option<u64> {
+        let score = |e: &RefEntry| -> f64 {
+            match policy {
+                EvictionPolicy::Lru => e.last_access as f64,
+                EvictionPolicy::Lfu => e.access_count as f64 * 1e12 + e.last_access as f64,
+                EvictionPolicy::Fifo => e.insert_seq as f64,
+                EvictionPolicy::CostAware => {
+                    e.refetch_cost_s * e.access_count as f64 / (e.size.max(1) as f64)
+                }
+            }
+        };
+        self.entries
+            .iter()
+            .min_by(|(_, a), (_, b)| {
+                score(a)
+                    .partial_cmp(&score(b))
+                    .expect("no NaN")
+                    .then(a.insert_seq.cmp(&b.insert_seq))
+            })
+            .map(|(&id, _)| id)
+    }
+}
+
+/// Reference model of both caches' residency: the same stripes, stamps
+/// and admission rules, choosing victims by a scan of the shard.
+#[derive(Debug)]
+struct RefCache {
+    policy: EvictionPolicy,
+    shards: Vec<RefShard>,
+}
+
+impl RefCache {
+    fn new(capacity: u64, policy: EvictionPolicy, shards: usize) -> RefCache {
+        let n = shards.max(1).next_power_of_two();
+        let shards = (0..n)
+            .map(|_| RefShard {
+                capacity: capacity / n as u64,
+                ..RefShard::default()
+            })
+            .collect();
+        RefCache { policy, shards }
+    }
+
+    fn shard(&mut self, id: u64) -> &mut RefShard {
+        let n = self.shards.len();
+        &mut self.shards[((id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize) & (n - 1)]
+    }
+
+    fn get(&mut self, id: u64) -> bool {
+        let shard = self.shard(id);
+        shard.counter += 1;
+        let counter = shard.counter;
+        match shard.entries.get_mut(&id) {
+            Some(e) => {
+                e.last_access = counter;
+                e.access_count += 1;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn put(&mut self, id: u64, size: u64, refetch_cost_s: f64) {
+        let policy = self.policy;
+        let shard = self.shard(id);
+        if size > shard.capacity {
+            return;
+        }
+        if let Some(old) = shard.entries.remove(&id) {
+            shard.used -= old.size;
+        }
+        while shard.used + size > shard.capacity {
+            let victim = shard.pick_victim(policy).expect("a resident victim");
+            shard.used -= shard.entries.remove(&victim).expect("victim exists").size;
+        }
+        shard.counter += 1;
+        let counter = shard.counter;
+        shard.entries.insert(
+            id,
+            RefEntry {
+                size,
+                last_access: counter,
+                access_count: 1,
+                insert_seq: counter,
+                refetch_cost_s,
+            },
+        );
+        shard.used += size;
+    }
+
+    fn invalidate(&mut self, id: u64) {
+        let shard = self.shard(id);
+        if let Some(e) = shard.entries.remove(&id) {
+            shard.used -= e.size;
+        }
+    }
+
+    fn contains(&self, id: u64) -> bool {
+        self.shards.iter().any(|s| s.entries.contains_key(&id))
+    }
+
+    fn used(&self) -> u64 {
+        self.shards.iter().map(|s| s.used).sum()
+    }
+}
+
+/// Refetch costs of the victim-order tests: few distinct values, so
+/// cost-aware scores tie and the insert-order tie-break is exercised; a
+/// negative cost checks the float order below zero.
+const REF_COSTS: [f64; 5] = [-3.0, 0.0, 1.0, 2.5, 40.0];
 
 proptest! {
     #[test]
@@ -153,6 +287,72 @@ proptest! {
         }
         let s = cache.stats();
         prop_assert_eq!(s.hits + s.misses, ops.len() as u64);
+    }
+
+    #[test]
+    fn st_cache_evicts_like_the_linear_scan(
+        capacity in 400u64..3000,
+        ops in prop::collection::vec((0u8..4, 0u64..12, 50u64..400, 0usize..5), 1..120),
+        policy_idx in 0usize..4,
+        four_shards in any::<bool>(),
+    ) {
+        let policy = EvictionPolicy::all()[policy_idx];
+        let shards = if four_shards { 4 } else { 1 };
+        let cache = SuperTileCache::with_shards(capacity, policy, None, shards);
+        let mut model = RefCache::new(capacity, policy, shards);
+        for &(kind, st, size, cost) in &ops {
+            let cost = REF_COSTS[cost];
+            match kind {
+                0 => prop_assert_eq!(cache.get(st).is_some(), model.get(st)),
+                1 => {
+                    cache.put(st, vec![st as u8; size as usize], cost);
+                    model.put(st, size, cost);
+                }
+                2 => {
+                    cache.put_phantom(st, size, cost);
+                    model.put(st, size, cost);
+                }
+                _ => {
+                    cache.invalidate(st);
+                    model.invalidate(st);
+                }
+            }
+            for id in 0..12 {
+                prop_assert_eq!(cache.contains(id), model.contains(id), "st {}", id);
+            }
+            prop_assert_eq!(cache.used(), model.used());
+        }
+    }
+
+    #[test]
+    fn tile_cache_evicts_like_the_linear_scan(
+        capacity in 200u64..1500,
+        ops in prop::collection::vec((0u8..3, 0u64..12, 2i64..40), 1..120),
+        four_shards in any::<bool>(),
+    ) {
+        let shards = if four_shards { 4 } else { 1 };
+        let cache = TileCache::with_shards(capacity, shards);
+        let mut model = RefCache::new(capacity, EvictionPolicy::Lru, shards);
+        for &(kind, id, cells) in &ops {
+            // `TileCache` has no side-effect-free probe, so residency is
+            // compared through every lookup's outcome and the byte total.
+            match kind {
+                0 => prop_assert_eq!(cache.get(id).map(|t| t.id), model.get(id).then_some(id)),
+                1 => {
+                    let dom = Minterval::new(&[(0, cells - 1)]).unwrap();
+                    cache.put(Tile::new(id, 1, MDArray::zeros(dom, CellType::F64)));
+                    model.put(id, cells as u64 * 8, 0.0);
+                }
+                _ => {
+                    cache.invalidate(id);
+                    model.invalidate(id);
+                }
+            }
+            prop_assert_eq!(cache.used(), model.used());
+        }
+        for id in 0..12 {
+            prop_assert_eq!(cache.get(id).is_some(), model.get(id), "tile {}", id);
+        }
     }
 
     #[test]

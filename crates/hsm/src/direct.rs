@@ -157,10 +157,13 @@ impl DirectStore {
             .read(addr.medium, addr.offset + rel_offset, len)?)
     }
 
-    /// Estimated cost (seconds) of reading `addr` given current drive state.
-    pub fn estimate_read_s(&self, addr: BlockAddress) -> f64 {
-        self.library
-            .estimate_read_s(addr.medium, addr.offset, addr.len)
+    /// Cost (seconds) of refetching `addr` from tertiary storage, whatever
+    /// the drives hold now: a full mount, a locate from the beginning of
+    /// the medium and the transfer. Cost-aware caching ranks blocks by it,
+    /// so a block deep on its medium outranks a shallow one of equal size.
+    pub fn refetch_cost_s(&self, addr: BlockAddress) -> f64 {
+        let p = self.library.profile();
+        p.mount_time_s() + p.locate_time_s(0, addr.offset) + p.transfer_time_s(addr.len)
     }
 
     /// Read one *round* of blocks with the library's drives working in
@@ -313,7 +316,14 @@ mod tests {
     #[test]
     fn estimates_are_positive_for_cold_blocks() {
         let mut s = store();
-        let addr = s.append(WritePayload::Phantom(1 << 20)).unwrap();
-        assert!(s.estimate_read_s(addr) > 0.0);
+        let shallow = s.append(WritePayload::Phantom(1 << 20)).unwrap();
+        let deep = s.append(WritePayload::Phantom(1 << 20)).unwrap();
+        assert_eq!(shallow.medium, deep.medium);
+        assert!(s.refetch_cost_s(shallow) > 0.0);
+        // The refetch cost ignores the drive head and grows with depth.
+        let before = s.refetch_cost_s(deep);
+        s.read(deep).unwrap(); // mounts the medium, head now past `deep`
+        assert_eq!(s.refetch_cost_s(deep), before);
+        assert!(s.refetch_cost_s(deep) > s.refetch_cost_s(shallow));
     }
 }

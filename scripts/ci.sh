@@ -118,6 +118,15 @@ for f in crates/array/src/mdd.rs crates/array/src/ops.rs; do
   fi
 done
 
+echo "==> no victim scan in the caches"
+# Both cache levels choose victims from the per-shard lazy heap; a
+# min_by/min_by_key in the non-test code of cache.rs brings back an O(n)
+# scan under the shard lock. The trailing #[cfg(test)] block is exempt.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/cache.rs | grep -n 'min_by(\|min_by_key('; then
+  echo "victim scan in crates/core/src/cache.rs: pop the shard's victim heap"
+  exit 1
+fi
+
 echo "==> codec bench smoke"
 # One pass over all payload classes: schema keys present, the fast RLE
 # decode holds its margin over the scalar reference on run-heavy data,
