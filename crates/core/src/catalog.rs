@@ -1,25 +1,47 @@
 //! HEAVEN's tertiary-storage catalog: where every super-tile lives.
 //!
-//! Maps super-tiles to block addresses on media and member tiles to their
-//! super-tiles. This is the metadata HEAVEN adds on top of the DBMS
-//! catalogs so that queries can be routed across the storage hierarchy.
+//! One [`CatalogEntry`] per super-tile holds its member directory, the
+//! addresses of its archive copies and the checksum every read of them
+//! verifies; member tiles map to their super-tiles. This is the metadata
+//! HEAVEN adds on top of the DBMS catalogs so that queries can be routed
+//! across the storage hierarchy, and the live-space ledger media
+//! compaction reads.
 
 use crate::error::{HeavenError, Result};
 use crate::supertile::{SuperTileId, SuperTileMeta};
-use heaven_array::{Minterval, ObjectId, TileId};
+use heaven_array::{ObjectId, TileId};
 use heaven_hsm::BlockAddress;
+use heaven_tape::MediumId;
 use std::collections::HashMap;
+
+/// One catalogued super-tile: its member directory, where its archive
+/// copies live, and the wire-payload checksum.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CatalogEntry {
+    /// Member directory.
+    pub meta: SuperTileMeta,
+    /// Primary archive copy.
+    pub addr: BlockAddress,
+    /// Second archive copy (dual-copy archival), never on the primary's
+    /// medium.
+    pub replica: Option<BlockAddress>,
+    /// FNV-1a checksum of the wire payload, verified on every read.
+    pub checksum: u64,
+}
+
+impl CatalogEntry {
+    /// Every archive copy: the primary, then the replica.
+    pub fn copies(&self) -> impl Iterator<Item = BlockAddress> {
+        std::iter::once(self.addr).chain(self.replica)
+    }
+}
 
 /// Catalog of exported super-tiles.
 #[derive(Debug, Default)]
 pub struct SuperTileCatalog {
-    supertiles: HashMap<SuperTileId, (SuperTileMeta, BlockAddress)>,
+    supertiles: HashMap<SuperTileId, CatalogEntry>,
     tile_to_st: HashMap<TileId, SuperTileId>,
     by_object: HashMap<ObjectId, Vec<SuperTileId>>,
-    /// Second archive copy per super-tile (dual-copy archival).
-    replicas: HashMap<SuperTileId, BlockAddress>,
-    /// FNV-1a checksum of the wire payload, verified on every fetch.
-    checksums: HashMap<SuperTileId, u64>,
     next_id: SuperTileId,
 }
 
@@ -39,20 +61,20 @@ impl SuperTileCatalog {
         id
     }
 
-    /// Ensure future ids are greater than `min` (after a catalog reload).
-    pub fn bump_next_id(&mut self, min: SuperTileId) {
-        if self.next_id <= min {
-            self.next_id = min + 1;
+    /// Register an exported super-tile. Its member tiles now resolve to
+    /// it (superseding an older version's mapping), and future ids stay
+    /// above its id.
+    pub fn register(&mut self, entry: CatalogEntry) {
+        let id = entry.meta.id;
+        for m in &entry.meta.members {
+            self.tile_to_st.insert(m.tile, id);
         }
-    }
-
-    /// Register an exported super-tile.
-    pub fn register(&mut self, meta: SuperTileMeta, addr: BlockAddress) {
-        for m in &meta.members {
-            self.tile_to_st.insert(m.tile, meta.id);
-        }
-        self.by_object.entry(meta.object).or_default().push(meta.id);
-        self.supertiles.insert(meta.id, (meta, addr));
+        self.by_object
+            .entry(entry.meta.object)
+            .or_default()
+            .push(id);
+        self.next_id = self.next_id.max(id + 1);
+        self.supertiles.insert(id, entry);
     }
 
     /// The super-tile containing a tile.
@@ -63,52 +85,43 @@ impl SuperTileCatalog {
             .ok_or(HeavenError::TileUnlocated(tile))
     }
 
+    /// The catalog entry of a super-tile.
+    pub fn entry(&self, st: SuperTileId) -> Result<&CatalogEntry> {
+        self.supertiles
+            .get(&st)
+            .ok_or(HeavenError::NoSuchSuperTile(st))
+    }
+
     /// Metadata of a super-tile.
     pub fn meta(&self, st: SuperTileId) -> Result<&SuperTileMeta> {
-        self.supertiles
-            .get(&st)
-            .map(|(m, _)| m)
-            .ok_or(HeavenError::NoSuchSuperTile(st))
+        Ok(&self.entry(st)?.meta)
     }
 
-    /// Block address of a super-tile.
+    /// Primary block address of a super-tile.
     pub fn address(&self, st: SuperTileId) -> Result<BlockAddress> {
-        self.supertiles
-            .get(&st)
-            .map(|&(_, a)| a)
-            .ok_or(HeavenError::NoSuchSuperTile(st))
+        Ok(self.entry(st)?.addr)
     }
 
-    /// Record the second archive copy of a super-tile.
-    pub fn register_replica(&mut self, st: SuperTileId, addr: BlockAddress) {
-        self.replicas.insert(st, addr);
-    }
-
-    /// The second archive copy of a super-tile, if dual-copy archival
-    /// wrote one.
-    pub fn replica(&self, st: SuperTileId) -> Option<BlockAddress> {
-        self.replicas.get(&st).copied()
-    }
-
-    /// Record the wire-payload checksum of a super-tile.
-    pub fn set_checksum(&mut self, st: SuperTileId, sum: u64) {
-        self.checksums.insert(st, sum);
-    }
-
-    /// The wire-payload checksum of a super-tile, if recorded.
-    pub fn checksum(&self, st: SuperTileId) -> Option<u64> {
-        self.checksums.get(&st).copied()
-    }
-
-    /// Replace the address of a super-tile (after rewrite/compaction).
-    pub fn relocate(&mut self, st: SuperTileId, addr: BlockAddress) -> Result<()> {
-        match self.supertiles.get_mut(&st) {
-            Some(e) => {
-                e.1 = addr;
-                Ok(())
-            }
-            None => Err(HeavenError::NoSuchSuperTile(st)),
+    /// Move the copy of `st` at `from` (primary or replica) to `to`, after
+    /// compaction rewrote it.
+    pub fn relocate(
+        &mut self,
+        st: SuperTileId,
+        from: BlockAddress,
+        to: BlockAddress,
+    ) -> Result<()> {
+        let e = self
+            .supertiles
+            .get_mut(&st)
+            .ok_or(HeavenError::NoSuchSuperTile(st))?;
+        if e.addr == from {
+            e.addr = to;
+        } else if e.replica == Some(from) {
+            e.replica = Some(to);
+        } else {
+            return Err(HeavenError::NoSuchSuperTile(st));
         }
+        Ok(())
     }
 
     /// Super-tiles of an object, in export (cluster) order.
@@ -124,55 +137,39 @@ impl SuperTileCatalog {
             .unwrap_or(false)
     }
 
-    /// Super-tiles of an object touching `region`.
-    pub fn supertiles_touching(&self, oid: ObjectId, region: &Minterval) -> Vec<SuperTileId> {
-        self.object_supertiles(oid)
-            .into_iter()
-            .filter(|st| {
-                self.supertiles
-                    .get(st)
-                    .map(|(m, _)| m.touches(region))
-                    .unwrap_or(false)
-            })
-            .collect()
-    }
-
-    /// Drop all catalog entries of an object; returns the freed addresses
-    /// (dead space on media until reclaimed).
-    pub fn remove_object(&mut self, oid: ObjectId) -> Vec<BlockAddress> {
+    /// Drop all catalog entries of an object; returns their ids. Their
+    /// copies become dead space on media until reclaimed.
+    pub fn remove_object(&mut self, oid: ObjectId) -> Vec<SuperTileId> {
         let sts = self.by_object.remove(&oid).unwrap_or_default();
-        let mut freed = Vec::with_capacity(sts.len());
-        for st in sts {
-            if let Some((meta, addr)) = self.supertiles.remove(&st) {
-                for m in &meta.members {
-                    self.tile_to_st.remove(&m.tile);
-                }
-                freed.push(addr);
+        for st in &sts {
+            if let Some(e) = self.supertiles.remove(st) {
+                self.unmap_members(&e);
             }
-            if let Some(r) = self.replicas.remove(&st) {
-                freed.push(r);
-            }
-            self.checksums.remove(&st);
         }
-        freed
+        sts
     }
 
-    /// Remove a single super-tile (e.g. replaced by an updated version);
-    /// returns its old address.
-    pub fn remove_supertile(&mut self, st: SuperTileId) -> Result<BlockAddress> {
-        let (meta, addr) = self
+    /// Remove a single super-tile (e.g. replaced by an updated version).
+    pub fn remove_supertile(&mut self, st: SuperTileId) -> Result<()> {
+        let e = self
             .supertiles
             .remove(&st)
             .ok_or(HeavenError::NoSuchSuperTile(st))?;
-        for m in &meta.members {
-            self.tile_to_st.remove(&m.tile);
-        }
-        if let Some(v) = self.by_object.get_mut(&meta.object) {
+        self.unmap_members(&e);
+        if let Some(v) = self.by_object.get_mut(&e.meta.object) {
             v.retain(|&s| s != st);
         }
-        self.replicas.remove(&st);
-        self.checksums.remove(&st);
-        Ok(addr)
+        Ok(())
+    }
+
+    /// Drop the tile mappings that still point at `e` (a newer version
+    /// of a member keeps its own).
+    fn unmap_members(&mut self, e: &CatalogEntry) {
+        for m in &e.meta.members {
+            if self.tile_to_st.get(&m.tile) == Some(&e.meta.id) {
+                self.tile_to_st.remove(&m.tile);
+            }
+        }
     }
 
     /// Number of registered super-tiles.
@@ -185,13 +182,14 @@ impl SuperTileCatalog {
         self.supertiles.is_empty()
     }
 
-    /// All super-tiles on a medium with their addresses (for compaction).
-    pub fn on_medium(&self, medium: heaven_tape::MediumId) -> Vec<(SuperTileId, BlockAddress)> {
+    /// Every live copy on a medium, primary or replica, with its
+    /// super-tile, in offset order (for compaction).
+    pub fn on_medium(&self, medium: MediumId) -> Vec<(SuperTileId, BlockAddress)> {
         let mut v: Vec<(SuperTileId, BlockAddress)> = self
             .supertiles
             .iter()
-            .filter(|(_, (_, a))| a.medium == medium)
-            .map(|(&id, &(_, a))| (id, a))
+            .flat_map(|(&id, e)| e.copies().map(move |a| (id, a)))
+            .filter(|(_, a)| a.medium == medium)
             .collect();
         v.sort_by_key(|&(_, a)| a.offset);
         v
@@ -202,32 +200,10 @@ impl SuperTileCatalog {
 mod tests {
     use super::*;
     use crate::supertile::MemberEntry;
+    use heaven_array::Minterval;
 
     fn mi(b: &[(i64, i64)]) -> Minterval {
         Minterval::new(b).unwrap()
-    }
-
-    fn meta(id: SuperTileId, oid: ObjectId, tiles: &[(TileId, Minterval)]) -> SuperTileMeta {
-        let mut off = 0;
-        let members = tiles
-            .iter()
-            .map(|(t, d)| {
-                let e = MemberEntry {
-                    tile: *t,
-                    domain: d.clone(),
-                    offset: off,
-                    len: 100,
-                };
-                off += 100;
-                e
-            })
-            .collect();
-        SuperTileMeta {
-            id,
-            object: oid,
-            members,
-            total_len: off,
-        }
     }
 
     fn addr(medium: u64, offset: u64) -> BlockAddress {
@@ -238,14 +214,35 @@ mod tests {
         }
     }
 
+    fn entry(id: SuperTileId, oid: ObjectId, tiles: &[TileId], at: BlockAddress) -> CatalogEntry {
+        let members = tiles
+            .iter()
+            .zip(0u64..)
+            .map(|(&tile, k)| MemberEntry {
+                tile,
+                domain: mi(&[(10 * k as i64, 10 * k as i64 + 9)]),
+                offset: 100 * k,
+                len: 100,
+            })
+            .collect::<Vec<_>>();
+        CatalogEntry {
+            meta: SuperTileMeta {
+                id,
+                object: oid,
+                total_len: 100 * members.len() as u64,
+                members,
+            },
+            addr: at,
+            replica: None,
+            checksum: 0,
+        }
+    }
+
     #[test]
     fn register_and_lookup() {
         let mut c = SuperTileCatalog::new();
         let id = c.next_id();
-        c.register(
-            meta(id, 7, &[(1, mi(&[(0, 9)])), (2, mi(&[(10, 19)]))]),
-            addr(0, 0),
-        );
+        c.register(entry(id, 7, &[1, 2], addr(0, 0)));
         assert_eq!(c.supertile_of(1).unwrap(), id);
         assert_eq!(c.supertile_of(2).unwrap(), id);
         assert!(c.supertile_of(3).is_err());
@@ -256,26 +253,21 @@ mod tests {
     }
 
     #[test]
-    fn touching_filters_by_member_domains() {
+    fn register_keeps_fresh_ids_above_reloaded_ones() {
         let mut c = SuperTileCatalog::new();
-        let a = c.next_id();
-        let b = c.next_id();
-        c.register(meta(a, 7, &[(1, mi(&[(0, 9)]))]), addr(0, 0));
-        c.register(meta(b, 7, &[(2, mi(&[(50, 59)]))]), addr(0, 200));
-        assert_eq!(c.supertiles_touching(7, &mi(&[(5, 6)])), vec![a]);
-        assert_eq!(c.supertiles_touching(7, &mi(&[(0, 59)])), vec![a, b]);
-        assert!(c.supertiles_touching(7, &mi(&[(100, 110)])).is_empty());
+        c.register(entry(41, 7, &[1], addr(0, 0)));
+        assert_eq!(c.next_id(), 42);
     }
 
     #[test]
     fn remove_object_frees_addresses() {
         let mut c = SuperTileCatalog::new();
         let a = c.next_id();
-        c.register(meta(a, 7, &[(1, mi(&[(0, 9)]))]), addr(3, 500));
-        let freed = c.remove_object(7);
-        assert_eq!(freed, vec![addr(3, 500)]);
+        c.register(entry(a, 7, &[1], addr(3, 500)));
+        assert_eq!(c.remove_object(7), vec![a]);
         assert!(c.is_empty());
         assert!(c.supertile_of(1).is_err());
+        assert!(c.on_medium(3).is_empty());
     }
 
     #[test]
@@ -283,12 +275,53 @@ mod tests {
         let mut c = SuperTileCatalog::new();
         let a = c.next_id();
         let b = c.next_id();
-        c.register(meta(a, 7, &[(1, mi(&[(0, 9)]))]), addr(0, 0));
-        c.register(meta(b, 7, &[(2, mi(&[(10, 19)]))]), addr(0, 200));
-        let old = c.remove_supertile(a).unwrap();
-        assert_eq!(old, addr(0, 0));
+        c.register(entry(a, 7, &[1], addr(0, 0)));
+        c.register(entry(b, 7, &[2], addr(0, 200)));
+        c.remove_supertile(a).unwrap();
         assert_eq!(c.object_supertiles(7), vec![b]);
+        assert_eq!(c.on_medium(0), vec![(b, addr(0, 200))]);
         assert!(c.remove_supertile(a).is_err());
+    }
+
+    #[test]
+    fn removing_an_old_version_keeps_the_new_mapping() {
+        let mut c = SuperTileCatalog::new();
+        let old = c.next_id();
+        let new = c.next_id();
+        c.register(entry(old, 7, &[1, 2], addr(0, 0)));
+        c.register(entry(new, 7, &[1, 2], addr(0, 200)));
+        c.remove_supertile(old).unwrap();
+        assert_eq!(c.supertile_of(1).unwrap(), new);
+        assert_eq!(c.supertile_of(2).unwrap(), new);
+    }
+
+    #[test]
+    fn replica_and_checksum_follow_supertile_lifecycle() {
+        let mut c = SuperTileCatalog::new();
+        let a = c.next_id();
+        c.register(CatalogEntry {
+            replica: Some(addr(9, 777)),
+            checksum: 0xDEAD,
+            ..entry(a, 1, &[1], addr(0, 0))
+        });
+        let e = c.entry(a).unwrap();
+        assert_eq!((e.replica, e.checksum), (Some(addr(9, 777)), 0xDEAD));
+        c.remove_supertile(a).unwrap();
+        assert!(c.entry(a).is_err());
+        assert!(c.on_medium(9).is_empty());
+    }
+
+    #[test]
+    fn remove_object_frees_replicas_too() {
+        let mut c = SuperTileCatalog::new();
+        let a = c.next_id();
+        c.register(CatalogEntry {
+            replica: Some(addr(4, 0)),
+            ..entry(a, 7, &[1], addr(3, 500))
+        });
+        assert_eq!(c.on_medium(4), vec![(a, addr(4, 0))]);
+        c.remove_object(7);
+        assert!(c.on_medium(3).is_empty() && c.on_medium(4).is_empty());
     }
 
     #[test]
@@ -297,48 +330,32 @@ mod tests {
         let a = c.next_id();
         let b = c.next_id();
         let x = c.next_id();
-        c.register(meta(a, 1, &[(1, mi(&[(0, 9)]))]), addr(0, 900));
-        c.register(meta(b, 2, &[(2, mi(&[(0, 9)]))]), addr(0, 100));
-        c.register(meta(x, 3, &[(3, mi(&[(0, 9)]))]), addr(1, 0));
+        c.register(entry(a, 1, &[1], addr(0, 900)));
+        c.register(entry(b, 2, &[2], addr(0, 100)));
+        c.register(CatalogEntry {
+            replica: Some(addr(0, 500)),
+            ..entry(x, 3, &[3], addr(1, 0))
+        });
         let on0 = c.on_medium(0);
         assert_eq!(
             on0.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
-            vec![b, a]
+            vec![b, x, a]
         );
-    }
-
-    #[test]
-    fn replica_and_checksum_follow_supertile_lifecycle() {
-        let mut c = SuperTileCatalog::new();
-        let a = c.next_id();
-        c.register(meta(a, 1, &[(1, mi(&[(0, 9)]))]), addr(0, 0));
-        assert_eq!(c.replica(a), None);
-        assert_eq!(c.checksum(a), None);
-        c.register_replica(a, addr(9, 777));
-        c.set_checksum(a, 0xDEAD);
-        assert_eq!(c.replica(a), Some(addr(9, 777)));
-        assert_eq!(c.checksum(a), Some(0xDEAD));
-        c.remove_supertile(a).unwrap();
-        assert_eq!(c.replica(a), None);
-        assert_eq!(c.checksum(a), None);
-    }
-
-    #[test]
-    fn remove_object_frees_replicas_too() {
-        let mut c = SuperTileCatalog::new();
-        let a = c.next_id();
-        c.register(meta(a, 7, &[(1, mi(&[(0, 9)]))]), addr(3, 500));
-        c.register_replica(a, addr(4, 0));
-        let freed = c.remove_object(7);
-        assert_eq!(freed, vec![addr(3, 500), addr(4, 0)]);
+        assert_eq!(c.on_medium(1), vec![(x, addr(1, 0))]);
     }
 
     #[test]
     fn relocate_updates_address() {
         let mut c = SuperTileCatalog::new();
         let a = c.next_id();
-        c.register(meta(a, 1, &[(1, mi(&[(0, 9)]))]), addr(0, 0));
-        c.relocate(a, addr(5, 123)).unwrap();
-        assert_eq!(c.address(a).unwrap(), addr(5, 123));
+        c.register(CatalogEntry {
+            replica: Some(addr(9, 777)),
+            ..entry(a, 1, &[1], addr(0, 0))
+        });
+        c.relocate(a, addr(0, 0), addr(5, 123)).unwrap();
+        c.relocate(a, addr(9, 777), addr(9, 0)).unwrap();
+        let e = c.entry(a).unwrap();
+        assert_eq!((e.addr, e.replica), (addr(5, 123), Some(addr(9, 0))));
+        assert!(c.relocate(a, addr(0, 0), addr(1, 1)).is_err());
     }
 }

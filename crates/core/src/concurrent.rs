@@ -8,7 +8,7 @@
 //! catalog writers need `&mut Heaven`), both lock-striped caches, the
 //! cross-session batcher and one set of metric handles. [`Heaven`] is
 //! this engine plus the state only a single owner has (precomputed
-//! results, the persistent catalog, dead space, the query bracket) and
+//! results, the persistent catalog, the query bracket) and
 //! reaches it through `Deref`; [`Heaven::into_concurrent`] hands the
 //! engine out on its own.
 //!
@@ -1120,29 +1120,42 @@ impl ConcurrentHeaven {
         result
     }
 
-    /// Stage one super-tile from tertiary storage: the full recovery
-    /// ladder (retry, failover, dual copy) under the store lock, then
-    /// [`Self::admit`]. `lane` is fast-forwarded to the read's completion.
+    /// Stage one super-tile from tertiary storage: the verified read of
+    /// its primary copy, then [`Self::admit`].
     pub(crate) fn stage(&self, lane: &SimClock, st: SuperTileId) -> Result<Bytes> {
         let addr = self.catalog.address(st)?;
-        let (raw, dt, refetch_s) = {
-            let mut store = self.store.lock();
-            let t0 = store.clock().now_s();
-            let raw = read_with_recovery(
-                &mut store,
-                st,
-                addr,
-                self.catalog.replica(st),
-                self.catalog.checksum(st),
-                &self.config.retry,
-                &self.recovery,
-                &self.bus,
-            )?;
-            let t1 = store.clock().now_s();
-            lane.advance_to_s(t1);
-            (raw, t1 - t0, store.refetch_cost_s(addr))
-        };
+        let (raw, dt) = self.read_verified(lane, st, addr)?;
+        let refetch_s = self.store.lock().refetch_cost_s(addr);
         self.admit(st, addr, raw, dt, refetch_s)
+    }
+
+    /// Read the wire payload of `st` starting from its copy at `first`,
+    /// through the full recovery ladder (retry, drive failover, the other
+    /// archive copy) and verified against the catalogued checksum, under
+    /// the store lock. Returns the payload and the read's simulated
+    /// duration; `lane` is fast-forwarded to its completion.
+    pub(crate) fn read_verified(
+        &self,
+        lane: &SimClock,
+        st: SuperTileId,
+        first: BlockAddress,
+    ) -> Result<(Bytes, f64)> {
+        let e = self.catalog.entry(st)?;
+        let mut store = self.store.lock();
+        let t0 = store.clock().now_s();
+        let raw = read_with_recovery(
+            &mut store,
+            st,
+            first,
+            e.copies().find(|&c| c != first),
+            Some(e.checksum),
+            &self.config.retry,
+            &self.recovery,
+            &self.bus,
+        )?;
+        let t1 = store.clock().now_s();
+        lane.advance_to_s(t1);
+        Ok((raw, t1 - t0))
     }
 
     /// Admit a verified tape payload of `st` (read from `addr` in `dt`
@@ -1249,16 +1262,14 @@ impl ConcurrentHeaven {
         let mut slots = Vec::new();
         let mut reqs = Vec::new();
         for (i, &st) in sts.iter().enumerate().filter(|&(i, _)| out[i].is_none()) {
+            let e = self.catalog.entry(st)?;
             slots.push(i);
             reqs.push(PendingFetch {
-                req: FetchRequest {
-                    st,
-                    addr: self.catalog.address(st)?,
-                },
+                req: FetchRequest { st, addr: e.addr },
                 attempt: 0,
                 on_replica: false,
-                replica: self.catalog.replica(st),
-                checksum: self.catalog.checksum(st),
+                replica: e.replica,
+                checksum: Some(e.checksum),
                 enqueue_s: 0.0, // stamped at registration, under the lock
                 drains: 0,
                 stalled: false,

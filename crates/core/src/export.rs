@@ -1,25 +1,33 @@
 //! Export of multidimensional data to tertiary storage (paper §3.4).
 //!
-//! Two export paths are implemented, matching the evaluation's Chapter 4:
+//! Two export modes are implemented, matching the evaluation's Chapter 4:
 //!
 //! * **Naive** (the standard RasDaMan export, §4.3.1): tiles are written
 //!   synchronously, one block per tile, in insertion order — no clustering,
 //!   DBMS reads and tape writes strictly alternating.
 //! * **TCT** (the decoupled Tertiary Communication Thread export, §4.3.2):
 //!   tiles are grouped into super-tiles (STAR/eSTAR), ordered by
-//!   intra-/inter-super-tile clustering, assembled by a separate
-//!   communication thread, and written in large sequential blocks. DBMS
-//!   reads of super-tile *n+1* overlap the tape write of super-tile *n*;
+//!   intra-/inter-super-tile clustering and written in large sequential
+//!   blocks. In the paper a communication thread overlaps the DBMS read
+//!   of super-tile *n+1* with the tape write of super-tile *n*; here that
+//!   overlap is modelled in simulated time by [`pipeline_makespan`], and
 //!   the report carries both the serialized total and the pipelined
 //!   makespan.
+//!
+//! Both modes are one loop over tile groups (one tile per group for
+//! Naive), and every group goes to tape through the one archive write
+//! path, [`Heaven::archive_supertile`], which maintenance's
+//! `update_region` shares.
 
+use crate::catalog::CatalogEntry;
 use crate::config::ClusteringStrategy;
 use crate::error::{HeavenError, Result};
 use crate::estar::estar_partition;
 use crate::star::{star_partition, TileInfo};
-use crate::supertile::{checksum64, encode_supertile, SuperTileMeta};
+use crate::supertile::{checksum64, encode_supertile, SuperTileId};
 use crate::system::Heaven;
-use heaven_array::{ObjectId, Tile};
+use heaven_array::{ObjectId, Tile, TileId};
+use heaven_arraydb::ObjectMeta;
 use heaven_tape::{MediumId, WritePayload};
 
 /// Which export path to use.
@@ -57,91 +65,98 @@ pub struct ExportReport {
     pub media: Vec<MediumId>,
 }
 
+/// One super-tile written by [`Heaven::archive_supertile`].
+pub(crate) struct Archived {
+    /// The new super-tile's id.
+    pub id: SuperTileId,
+    /// Uncompressed payload bytes.
+    pub raw_len: u64,
+    /// Bytes of the primary copy on tape.
+    pub wire_len: u64,
+    /// The primary copy's medium.
+    pub medium: MediumId,
+    /// Simulated instant the last copy landed on tape.
+    pub written_s: f64,
+}
+
 impl Heaven {
     /// Export an object's tiles to tertiary storage.
     pub fn export_object(&mut self, oid: ObjectId, mode: ExportMode) -> Result<ExportReport> {
         if self.catalog.is_exported(oid) {
             return Err(HeavenError::AlreadyExported(oid));
         }
-        match mode {
-            ExportMode::Naive => self.export_naive(oid),
-            ExportMode::Tct => self.export_tct(oid),
-        }
-    }
-
-    fn export_naive(&mut self, oid: ObjectId) -> Result<ExportReport> {
         let meta = self.arraydb_mut().object(oid)?.clone();
+        let (groups, name) = match mode {
+            ExportMode::Naive => (
+                meta.tiles.iter().map(|&(_, t)| vec![t]).collect(),
+                "export.naive",
+            ),
+            ExportMode::Tct => (self.tct_groups(&meta)?, "export.tct"),
+        };
+        if self.config.medium_per_object {
+            self.store_mut().open_new_medium();
+        }
         let clock = self.clock();
         let span = self.bus.span(
-            "export.naive",
+            name,
             clock.now_s(),
-            &[("oid", oid.into()), ("tiles", meta.tiles.len().into())],
+            &[("oid", oid.into()), ("supertiles", groups.len().into())],
         );
         let start = clock.now_s();
-        let mut dbms_read_s = 0.0;
-        let mut tape_write_s = 0.0;
-        let mut bytes = 0u64;
-        let mut raw_bytes = 0u64;
-        let mut media = Vec::new();
-        for (_, tid) in meta.tiles.iter() {
+        let mut report = ExportReport {
+            oid,
+            mode,
+            supertiles: groups.len(),
+            bytes: 0,
+            raw_bytes: 0,
+            dbms_read_s: 0.0,
+            tape_write_s: 0.0,
+            elapsed_s: 0.0,
+            pipelined_s: 0.0,
+            media: Vec::new(),
+        };
+        let mut stage_costs: Vec<(f64, f64)> = Vec::with_capacity(groups.len());
+        for group in &groups {
             let t0 = clock.now_s();
-            let tile = self.arraydb_mut().read_tile(*tid)?;
+            let tiles = group
+                .iter()
+                .map(|&t| self.arraydb_mut().read_tile(t))
+                .collect::<std::result::Result<Vec<Tile>, _>>()?;
             let t1 = clock.now_s();
-            let (payload, st_meta) = {
-                let st_id = self.engine.catalog.next_id();
-                encode_supertile(st_id, oid, std::slice::from_ref(&tile))
-            };
-            raw_bytes += payload.len() as u64;
-            let wire = self.maybe_compress(payload, meta.cell_type.size_bytes());
-            bytes += wire.len() as u64;
-            let checksum = checksum64(&wire);
-            let addr = self.store_mut().append(WritePayload::Real(wire.clone()))?;
-            let replica = if self.config.dual_copy {
-                Some(
-                    self.store_mut()
-                        .append_replica(WritePayload::Real(wire), addr.medium)?,
-                )
-            } else {
-                None
-            };
-            let t2 = clock.now_s();
-            dbms_read_s += t1 - t0;
-            tape_write_s += t2 - t1;
-            if !media.contains(&addr.medium) {
-                media.push(addr.medium);
+            self.record_precomp(oid, &tiles);
+            let st = self.archive_supertile(oid, &tiles, meta.cell_type.size_bytes())?;
+            let t2 = st.written_s;
+            report.raw_bytes += st.raw_len;
+            report.bytes += st.wire_len;
+            report.dbms_read_s += t1 - t0;
+            report.tape_write_s += t2 - t1;
+            stage_costs.push((t1 - t0, t2 - t1));
+            if !report.media.contains(&st.medium) {
+                report.media.push(st.medium);
             }
-            self.record_precomp(&st_meta, &[tile]);
             self.bus.event(
                 "export.stage",
                 t2,
                 &[
-                    ("st", st_meta.id.into()),
+                    ("st", st.id.into()),
+                    ("tiles", group.len().into()),
                     ("read_s", (t1 - t0).into()),
                     ("write_s", (t2 - t1).into()),
                 ],
             );
-            self.register_supertile(st_meta, addr, replica, checksum)?;
-            self.arraydb_mut().mark_exported(*tid)?;
         }
-        let elapsed = clock.now_s() - start;
+        report.elapsed_s = clock.now_s() - start;
+        report.pipelined_s = match mode {
+            ExportMode::Naive => report.elapsed_s,
+            ExportMode::Tct => pipeline_makespan(&stage_costs),
+        };
         span.end(clock.now_s());
-        Ok(ExportReport {
-            oid,
-            mode: ExportMode::Naive,
-            supertiles: meta.tiles.len(),
-            bytes,
-            raw_bytes,
-            dbms_read_s,
-            tape_write_s,
-            elapsed_s: elapsed,
-            pipelined_s: elapsed,
-            media,
-        })
+        Ok(report)
     }
 
-    fn export_tct(&mut self, oid: ObjectId) -> Result<ExportReport> {
-        let meta = self.arraydb_mut().object(oid)?.clone();
-        // Build tile infos with encoded sizes and grid coordinates.
+    /// The TCT's super-tiles: the STAR/eSTAR partition of the object's
+    /// tile grid, as tile ids in cluster order.
+    fn tct_groups(&self, meta: &ObjectMeta) -> Result<Vec<Vec<TileId>>> {
         let (grid, grid_shape) = meta.tiling.tile_grid(&meta.domain, meta.cell_type)?;
         let infos: Vec<TileInfo> = meta
             .tiles
@@ -163,119 +178,62 @@ impl Heaven {
                 estar_partition(&infos, &grid_shape, target, pattern)
             }
         };
-        if self.config.medium_per_object {
-            self.store_mut().open_new_medium();
+        Ok(partition
+            .into_iter()
+            .map(|g| g.into_iter().map(|i| infos[i].id).collect())
+            .collect())
+    }
+
+    /// The archive write path, shared by both export modes and
+    /// `update_region`: encode `tiles` as one super-tile under a fresh id,
+    /// run the codec, checksum the wire bytes, write the primary copy and
+    /// (with dual copy) the replica, register the entry with write-through
+    /// to the persistent catalog, and only then mark the member tiles
+    /// exported, so a failed write or register never strands a tile that
+    /// nothing can read.
+    pub(crate) fn archive_supertile(
+        &mut self,
+        oid: ObjectId,
+        tiles: &[Tile],
+        cell_size: usize,
+    ) -> Result<Archived> {
+        let id = self.engine.catalog.next_id();
+        let (payload, meta) = encode_supertile(id, oid, tiles);
+        let raw_len = payload.len() as u64;
+        let wire = self.maybe_compress(payload, cell_size);
+        let checksum = checksum64(&wire);
+        let addr = self.store_mut().append(WritePayload::Real(wire.clone()))?;
+        // The second copy is kept off the primary's medium so one dead
+        // tape can't take both.
+        let replica = if self.config.dual_copy {
+            Some(
+                self.store_mut()
+                    .append_replica(WritePayload::Real(wire), addr.medium)?,
+            )
+        } else {
+            None
+        };
+        let written_s = self.clock().now_s();
+        self.register_supertile(CatalogEntry {
+            meta,
+            addr,
+            replica,
+            checksum,
+        })?;
+        for t in tiles {
+            self.arraydb_mut().mark_exported(t.id)?;
         }
-
-        let clock = self.clock();
-        let span = self.bus.span(
-            "export.tct",
-            clock.now_s(),
-            &[("oid", oid.into()), ("supertiles", partition.len().into())],
-        );
-        let start = clock.now_s();
-        let mut dbms_read_s = 0.0;
-        let mut tape_write_s = 0.0;
-        let mut stage_costs: Vec<(f64, f64)> = Vec::with_capacity(partition.len());
-        let mut bytes = 0u64;
-        let mut raw_bytes = 0u64;
-        let mut media = Vec::new();
-
-        // The TCT: a separate assembly thread connected by channels. The
-        // main (DBMS) thread reads tiles and ships them over; the TCT
-        // serializes super-tiles and ships payloads back for the tape
-        // writer.
-        let (tx_tiles, rx_tiles) = crossbeam::channel::bounded::<(u64, ObjectId, Vec<Tile>)>(2);
-        let (tx_enc, rx_enc) = crossbeam::channel::bounded::<(bytes::Bytes, SuperTileMeta)>(2);
-        let result: Result<()> = std::thread::scope(|s| {
-            s.spawn(move || {
-                while let Ok((st_id, object, tiles)) = rx_tiles.recv() {
-                    let enc = encode_supertile(st_id, object, &tiles);
-                    if tx_enc.send(enc).is_err() {
-                        break;
-                    }
-                }
-            });
-            for group in &partition {
-                let st_id = self.engine.catalog.next_id();
-                let t0 = clock.now_s();
-                let mut tiles = Vec::with_capacity(group.len());
-                for &gi in group {
-                    tiles.push(self.arraydb_mut().read_tile(infos[gi].id)?);
-                }
-                let t1 = clock.now_s();
-                self.record_precomp_tiles(oid, &tiles);
-                tx_tiles
-                    .send((st_id, oid, tiles))
-                    .map_err(|_| HeavenError::Codec("TCT thread gone".into()))?;
-                let (payload, st_meta) = rx_enc
-                    .recv()
-                    .map_err(|_| HeavenError::Codec("TCT thread gone".into()))?;
-                raw_bytes += payload.len() as u64;
-                let wire = self.maybe_compress(payload, meta.cell_type.size_bytes());
-                bytes += wire.len() as u64;
-                let checksum = checksum64(&wire);
-                let addr = self.store_mut().append(WritePayload::Real(wire.clone()))?;
-                // The second copy is deliberately kept off the primary's
-                // medium so one dead tape can't take both.
-                let replica = if self.config.dual_copy {
-                    Some(
-                        self.store_mut()
-                            .append_replica(WritePayload::Real(wire), addr.medium)?,
-                    )
-                } else {
-                    None
-                };
-                let t2 = clock.now_s();
-                dbms_read_s += t1 - t0;
-                tape_write_s += t2 - t1;
-                stage_costs.push((t1 - t0, t2 - t1));
-                if !media.contains(&addr.medium) {
-                    media.push(addr.medium);
-                }
-                self.bus.event(
-                    "export.stage",
-                    t2,
-                    &[
-                        ("st", st_id.into()),
-                        ("tiles", group.len().into()),
-                        ("read_s", (t1 - t0).into()),
-                        ("write_s", (t2 - t1).into()),
-                    ],
-                );
-                for m in &st_meta.members {
-                    self.arraydb_mut().mark_exported(m.tile)?;
-                }
-                self.register_supertile(st_meta, addr, replica, checksum)?;
-            }
-            drop(tx_tiles);
-            Ok(())
-        });
-        result?;
-        let elapsed = clock.now_s() - start;
-        span.end(clock.now_s());
-        Ok(ExportReport {
-            oid,
-            mode: ExportMode::Tct,
-            supertiles: partition.len(),
-            bytes,
-            raw_bytes,
-            dbms_read_s,
-            tape_write_s,
-            elapsed_s: elapsed,
-            pipelined_s: pipeline_makespan(&stage_costs),
-            media,
+        Ok(Archived {
+            id,
+            raw_len,
+            wire_len: addr.len,
+            medium: addr.medium,
+            written_s,
         })
     }
 
-    fn record_precomp(&mut self, _meta: &SuperTileMeta, tiles: &[Tile]) {
-        let oid = tiles.first().map(|t| t.object);
-        if let Some(oid) = oid {
-            self.record_precomp_tiles(oid, tiles);
-        }
-    }
-
-    pub(crate) fn record_precomp_tiles(&mut self, oid: ObjectId, tiles: &[Tile]) {
+    /// Fold the configured precomputations over freshly exported tiles.
+    fn record_precomp(&mut self, oid: ObjectId, tiles: &[Tile]) {
         if self.config.precompute.is_empty() {
             return;
         }

@@ -43,7 +43,7 @@ pub mod supertile;
 pub mod system;
 
 pub use cache::{CacheStats, EvictionPolicy, SuperTileCache, TileCache};
-pub use catalog::SuperTileCatalog;
+pub use catalog::{CatalogEntry, SuperTileCatalog};
 pub use concurrent::{ConcurrentHeaven, Session};
 pub use config::{ClusteringStrategy, HeavenConfig, PrefetchPolicy, RetryPolicy};
 pub use error::{HeavenError, Result};

@@ -2,10 +2,15 @@
 //! reclamation (paper §3.6).
 //!
 //! Tapes are append-only: deleting or updating archived data leaves *dead
-//! space* behind. HEAVEN tracks dead bytes per medium and compacts a
-//! medium (rewriting only its live super-tiles) once the dead fraction
-//! crosses a threshold.
+//! space* behind. Dead space is never booked by hand: a medium's dead
+//! bytes are its used bytes minus the live copies (primary or replica)
+//! the catalog lists on it. Updates rewrite super-tiles through the
+//! export's archive write path. Compaction reads every live copy on a
+//! medium back through the verified recovery ladder, and only when all of
+//! them came back with a matching checksum erases the medium and rewrites
+//! them back-to-back.
 
+use crate::catalog::CatalogEntry;
 use crate::error::{HeavenError, Result};
 use crate::supertile::{decode_all, MemberEntry, SuperTileMeta};
 use crate::system::Heaven;
@@ -14,9 +19,17 @@ use heaven_array::{MDArray, ObjectId};
 use heaven_tape::{MediumId, WritePayload};
 
 impl Heaven {
-    /// Dead bytes currently recorded for a medium.
+    /// Dead bytes on a medium: bytes written minus the live copies the
+    /// catalog lists there.
     pub fn dead_bytes_on(&self, medium: MediumId) -> u64 {
-        self.dead_bytes.get(&medium).copied().unwrap_or(0)
+        let used = self.store().library().medium_used(medium).unwrap_or(0);
+        let live: u64 = self
+            .catalog
+            .on_medium(medium)
+            .iter()
+            .map(|(_, a)| a.len)
+            .sum();
+        used.saturating_sub(live)
     }
 
     /// Dead fraction of a medium (`0.0` for an unused medium).
@@ -46,10 +59,7 @@ impl Heaven {
         for st in self.catalog.object_supertiles(oid) {
             self.st_cache.invalidate(st);
         }
-        let freed = self.unregister_object(oid)?;
-        for addr in freed {
-            *self.dead_bytes.entry(addr.medium).or_insert(0) += addr.len;
-        }
+        self.unregister_object(oid)?;
         self.precomp.invalidate_object(oid);
         self.arraydb_mut().delete_object(oid)?;
         Ok(())
@@ -70,18 +80,14 @@ impl Heaven {
             }
             self.st_cache.invalidate(st);
         }
-        let freed = self.unregister_object(oid)?;
-        for addr in freed {
-            *self.dead_bytes.entry(addr.medium).or_insert(0) += addr.len;
-        }
-        Ok(())
+        self.unregister_object(oid)
     }
 
     /// Update archived data in place: cells of `patch` overwrite the
     /// overlapping region of `oid`. Affected super-tiles are re-written as
-    /// new versions (old blocks become dead space); affected disk tiles
-    /// are patched directly. Precomputed results of the object are
-    /// invalidated.
+    /// new versions through the archive write path (old copies become
+    /// dead space); affected disk tiles are patched directly. Precomputed
+    /// results of the object are invalidated.
     pub fn update_region(&mut self, oid: ObjectId, patch: &MDArray) -> Result<()> {
         let meta = self.arraydb_mut().object(oid)?.clone();
         if meta.cell_type != patch.cell_type() {
@@ -117,24 +123,11 @@ impl Heaven {
                     t.data.patch(patch)?;
                 }
             }
-            // Write the new version under a fresh id.
-            let new_id = self.engine.catalog.next_id();
-            let (new_payload, new_meta) = crate::supertile::encode_supertile(new_id, oid, &tiles);
-            let wire = self.maybe_compress(new_payload, meta.cell_type.size_bytes());
-            let checksum = crate::supertile::checksum64(&wire);
-            let addr = self.store_mut().append(WritePayload::Real(wire.clone()))?;
-            let replica = if self.config.dual_copy {
-                Some(
-                    self.store_mut()
-                        .append_replica(WritePayload::Real(wire), addr.medium)?,
-                )
-            } else {
-                None
-            };
-            let old_addr = self.unregister_supertile(st)?;
-            *self.dead_bytes.entry(old_addr.medium).or_insert(0) += old_addr.len;
+            // The new version is registered before the old one goes, so
+            // a failed write leaves the old version readable.
+            self.archive_supertile(oid, &tiles, meta.cell_type.size_bytes())?;
+            self.unregister_supertile(st)?;
             self.st_cache.invalidate(st);
-            self.register_supertile(new_meta, addr, replica, checksum)?;
         }
         self.precomp.invalidate_object(oid);
         Ok(())
@@ -207,7 +200,12 @@ impl Heaven {
                 // pairing lives only in the (lost) catalog. A replica
                 // segment parses like its primary and simply supersedes
                 // it in tape order, so redundancy degrades to one copy.
-                self.register_supertile(meta, addr, None, checksum)?;
+                self.register_supertile(CatalogEntry {
+                    meta,
+                    addr,
+                    replica: None,
+                    checksum,
+                })?;
                 recovered += 1;
             }
         }
@@ -220,30 +218,33 @@ impl Heaven {
         Ok(recovered)
     }
 
-    /// Compact a medium whose dead fraction exceeds `threshold`: read all
-    /// live super-tiles, erase the medium, and rewrite them back-to-back.
-    /// Returns the number of super-tiles rewritten (0 when below the
-    /// threshold).
+    /// Compact a medium whose dead fraction exceeds `threshold`: read
+    /// every live copy on it (primary or replica) through the verified
+    /// recovery ladder, erase the medium, rewrite the copies back-to-back
+    /// and relocate each in the catalog. A copy that cannot be read back
+    /// with a matching checksum from either archive copy fails the call
+    /// with its typed error before anything is erased. Returns the number
+    /// of copies rewritten (0 when below the threshold).
     pub fn reclaim_medium(&mut self, medium: MediumId, threshold: f64) -> Result<usize> {
         if self.dead_fraction(medium) < threshold {
             return Ok(0);
         }
-        let live = self.catalog.on_medium(medium);
-        // Read every live payload before erasing.
-        let mut payloads = Vec::with_capacity(live.len());
-        for &(st, addr) in &live {
-            let payload = self.store_mut().read(addr)?;
-            payloads.push((st, payload));
-        }
+        let clock = self.clock();
+        let live = self
+            .catalog
+            .on_medium(medium)
+            .into_iter()
+            .map(|(st, addr)| Ok((st, addr, self.read_verified(&clock, st, addr)?.0)))
+            .collect::<Result<Vec<_>>>()?;
+        let rewritten = live.len();
         self.store_mut().library_mut().erase_medium(medium)?;
-        for (st, payload) in payloads {
-            let addr = self
+        for (st, old, wire) in live {
+            let new = self
                 .store_mut()
-                .write_to(medium, WritePayload::Real(payload))?;
-            self.relocate_supertile(st, addr)?;
+                .write_to(medium, WritePayload::Real(wire))?;
+            self.relocate_copy(st, old, new)?;
         }
-        self.dead_bytes.insert(medium, 0);
-        Ok(live.len())
+        Ok(rewritten)
     }
 }
 
@@ -372,7 +373,12 @@ mod tests {
         let checksum = checksum64(&wire);
         let addr = heaven.store_mut().append(WritePayload::Real(wire)).unwrap();
         heaven
-            .register_supertile(meta, addr, None, checksum)
+            .register_supertile(CatalogEntry {
+                meta,
+                addr,
+                replica: None,
+                checksum,
+            })
             .unwrap();
         for &(_, t) in tiles.iter() {
             heaven.arraydb_mut().mark_exported(t).unwrap();

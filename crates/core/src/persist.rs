@@ -7,6 +7,7 @@
 //! (fixed-size head row) plus a BLOB (the member directory), and
 //! [`CatalogStore::load_all`] rebuilds the full catalog from disk.
 
+use crate::catalog::CatalogEntry;
 use crate::error::{HeavenError, Result};
 use crate::supertile::{MemberEntry, SuperTileId, SuperTileMeta};
 use heaven_array::Minterval;
@@ -30,10 +31,6 @@ const ROW_LEN: usize = 8 * 10;
 /// Sentinel replica length encoding "no second copy".
 const NO_REPLICA: u64 = u64::MAX;
 
-/// One reloaded catalog entry: meta, primary address, optional replica
-/// address, and wire-payload checksum.
-pub(crate) type CatalogRow = (SuperTileMeta, BlockAddress, Option<BlockAddress>, u64);
-
 impl CatalogStore {
     /// Create the persistent structures.
     pub fn create(db: &mut Database) -> Result<CatalogStore> {
@@ -44,35 +41,31 @@ impl CatalogStore {
         })
     }
 
-    /// Persist a newly registered super-tile with its optional second
-    /// copy and wire-payload checksum.
-    pub fn insert(
-        &mut self,
-        db: &mut Database,
-        meta: &SuperTileMeta,
-        addr: BlockAddress,
-        replica: Option<BlockAddress>,
-        checksum: u64,
-    ) -> Result<()> {
-        let members = encode_members(&meta.members);
+    /// Persist a newly registered super-tile.
+    pub fn insert(&mut self, db: &mut Database, e: &CatalogEntry) -> Result<()> {
+        let members = encode_members(&e.meta.members);
         let blob = self.blobs.put(db, &members).map_err(wrap)?;
-        let (rm, ro, rl) = match replica {
+        let (rm, ro, rl) = match e.replica {
             Some(r) => (r.medium, r.offset, r.len),
             None => (0, 0, NO_REPLICA),
         };
-        let mut row = Vec::with_capacity(ROW_LEN);
-        row.extend_from_slice(&meta.id.to_le_bytes());
-        row.extend_from_slice(&meta.object.to_le_bytes());
-        row.extend_from_slice(&addr.medium.to_le_bytes());
-        row.extend_from_slice(&addr.offset.to_le_bytes());
-        row.extend_from_slice(&addr.len.to_le_bytes());
-        row.extend_from_slice(&blob.to_le_bytes());
-        row.extend_from_slice(&checksum.to_le_bytes());
-        row.extend_from_slice(&rm.to_le_bytes());
-        row.extend_from_slice(&ro.to_le_bytes());
-        row.extend_from_slice(&rl.to_le_bytes());
+        let row: Vec<u8> = [
+            e.meta.id,
+            e.meta.object,
+            e.addr.medium,
+            e.addr.offset,
+            e.addr.len,
+            blob,
+            e.checksum,
+            rm,
+            ro,
+            rl,
+        ]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
         let rid = self.table.insert(db, &row).map_err(wrap)?;
-        self.rows.insert(meta.id, (rid, blob));
+        self.rows.insert(e.meta.id, (rid, blob));
         Ok(())
     }
 
@@ -85,24 +78,16 @@ impl CatalogStore {
         Ok(())
     }
 
-    /// Update a super-tile's address (after compaction), keeping its
-    /// replica address and checksum.
-    pub fn update_addr(
-        &mut self,
-        db: &mut Database,
-        st: SuperTileId,
-        meta: &SuperTileMeta,
-        addr: BlockAddress,
-        replica: Option<BlockAddress>,
-        checksum: u64,
-    ) -> Result<()> {
-        self.remove(db, st)?;
-        self.insert(db, meta, addr, replica, checksum)
+    /// Rewrite a super-tile's persisted entry (after compaction moved
+    /// one of its copies).
+    pub fn update(&mut self, db: &mut Database, e: &CatalogEntry) -> Result<()> {
+        self.remove(db, e.meta.id)?;
+        self.insert(db, e)
     }
 
     /// Load every persisted super-tile (used after a restart/recovery).
     /// Also repopulates the row map so subsequent mutations keep working.
-    pub fn load_all(&mut self, db: &mut Database) -> Result<Vec<CatalogRow>> {
+    pub fn load_all(&mut self, db: &mut Database) -> Result<Vec<CatalogEntry>> {
         self.rows.clear();
         let mut out = Vec::new();
         for (rid, row) in self.table.scan(db).map_err(wrap)? {
@@ -125,21 +110,21 @@ impl CatalogStore {
             let members = decode_members(&self.blobs.get(db, blob).map_err(wrap)?)?;
             let total_len = members.iter().map(|m| m.len).sum();
             self.rows.insert(id, (rid, blob));
-            out.push((
-                SuperTileMeta {
+            out.push(CatalogEntry {
+                meta: SuperTileMeta {
                     id,
                     object,
                     members,
                     total_len,
                 },
-                BlockAddress {
+                addr: BlockAddress {
                     medium,
                     offset,
                     len,
                 },
                 replica,
                 checksum,
-            ));
+            });
         }
         Ok(out)
     }
@@ -256,30 +241,32 @@ mod tests {
         }
     }
 
+    fn entry(id: SuperTileId, at: u64, replica: Option<u64>, checksum: u64) -> CatalogEntry {
+        CatalogEntry {
+            meta: meta(id),
+            addr: addr(at),
+            replica: replica.map(addr),
+            checksum,
+        }
+    }
+
     #[test]
     fn insert_load_roundtrip() {
         let mut db = Database::for_tests();
         let mut cs = CatalogStore::create(&mut db).unwrap();
-        cs.insert(&mut db, &meta(1), addr(0), None, 0xFEED).unwrap();
-        cs.insert(&mut db, &meta(2), addr(3), Some(addr(7)), 42)
-            .unwrap();
+        let (a, b) = (entry(1, 0, None, 0xFEED), entry(2, 3, Some(7), 42));
+        cs.insert(&mut db, &a).unwrap();
+        cs.insert(&mut db, &b).unwrap();
         let mut loaded = cs.load_all(&mut db).unwrap();
-        loaded.sort_by_key(|(m, ..)| m.id);
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded[0].0, meta(1));
-        assert_eq!(loaded[0].1, addr(0));
-        assert_eq!(loaded[0].2, None);
-        assert_eq!(loaded[0].3, 0xFEED);
-        assert_eq!(loaded[1].1, addr(3));
-        assert_eq!(loaded[1].2, Some(addr(7)));
-        assert_eq!(loaded[1].3, 42);
+        loaded.sort_by_key(|e| e.meta.id);
+        assert_eq!(loaded, vec![a, b]);
     }
 
     #[test]
     fn remove_drops_entry() {
         let mut db = Database::for_tests();
         let mut cs = CatalogStore::create(&mut db).unwrap();
-        cs.insert(&mut db, &meta(1), addr(0), None, 0).unwrap();
+        cs.insert(&mut db, &entry(1, 0, None, 0)).unwrap();
         cs.remove(&mut db, 1).unwrap();
         assert!(cs.load_all(&mut db).unwrap().is_empty());
         // idempotent
@@ -290,22 +277,17 @@ mod tests {
     fn update_addr_relocates() {
         let mut db = Database::for_tests();
         let mut cs = CatalogStore::create(&mut db).unwrap();
-        let m = meta(1);
-        cs.insert(&mut db, &m, addr(0), Some(addr(4)), 11).unwrap();
-        cs.update_addr(&mut db, 1, &m, addr(9), Some(addr(4)), 11)
-            .unwrap();
-        let loaded = cs.load_all(&mut db).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded[0].1.medium, 9);
-        assert_eq!(loaded[0].2, Some(addr(4)), "replica survives relocation");
-        assert_eq!(loaded[0].3, 11, "checksum survives relocation");
+        cs.insert(&mut db, &entry(1, 0, Some(4), 11)).unwrap();
+        let moved = entry(1, 9, Some(5), 11);
+        cs.update(&mut db, &moved).unwrap();
+        assert_eq!(cs.load_all(&mut db).unwrap(), vec![moved]);
     }
 
     #[test]
     fn mutations_work_after_reload() {
         let mut db = Database::for_tests();
         let mut cs = CatalogStore::create(&mut db).unwrap();
-        cs.insert(&mut db, &meta(1), addr(0), None, 0).unwrap();
+        cs.insert(&mut db, &entry(1, 0, None, 0)).unwrap();
         cs.load_all(&mut db).unwrap(); // rebuilds row map
         cs.remove(&mut db, 1).unwrap();
         assert!(cs.load_all(&mut db).unwrap().is_empty());

@@ -93,17 +93,14 @@ impl Heaven {
                 resident += 1;
             }
         }
-        let store = self.store();
-        let media = store
-            .library()
-            .media_ids()
+        let media_ids = self.store().library().media_ids();
+        let media = media_ids
             .into_iter()
             .map(|m| {
-                let used = store.library().medium_used(m).unwrap_or(0);
+                let used = self.store().library().medium_used(m).unwrap_or(0);
                 (m, used, self.dead_bytes_on(m))
             })
             .collect();
-        drop(store);
         ArchiveReport {
             exported_objects: exported,
             resident_objects: resident,

@@ -49,11 +49,6 @@ impl SuperTileMeta {
         Some(it.fold(first, |acc, m| acc.hull(&m.domain).expect("same dim")))
     }
 
-    /// Whether any member tile intersects `region`.
-    pub fn touches(&self, region: &Minterval) -> bool {
-        self.members.iter().any(|m| m.domain.intersects(region))
-    }
-
     /// The member entry of a tile.
     pub fn member(&self, tile: TileId) -> Option<&MemberEntry> {
         self.members.iter().find(|m| m.tile == tile)
@@ -183,12 +178,10 @@ mod tests {
     }
 
     #[test]
-    fn bounding_box_and_touch() {
+    fn bounding_box_spans_members() {
         let tiles = make_tiles();
         let (_, meta) = encode_supertile(1, 7, &tiles);
         assert_eq!(meta.bounding_box(), Some(mi(&[(0, 39), (0, 9)])));
-        assert!(meta.touches(&mi(&[(15, 16), (3, 4)])));
-        assert!(!meta.touches(&mi(&[(0, 39), (20, 30)])));
     }
 
     #[test]

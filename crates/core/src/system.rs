@@ -9,13 +9,13 @@
 //!
 //! `Heaven` is the retrieval engine ([`ConcurrentHeaven`], reached
 //! through `Deref`) plus the state only a single owner has: the
-//! precomputed-result catalog, the persistent super-tile catalog, dead
-//! space per medium and the query bracket. Its `&mut self` operations
+//! precomputed-result catalog, the persistent super-tile catalog and the
+//! query bracket. Its `&mut self` operations
 //! (export, maintenance, catalog rebuilds) reach the engine's state
 //! without locking; sessions can be opened on it between them.
 
 use crate::cache::CacheStats;
-use crate::catalog::SuperTileCatalog;
+use crate::catalog::{CatalogEntry, SuperTileCatalog};
 use crate::concurrent::ConcurrentHeaven;
 use crate::config::HeavenConfig;
 use crate::error::Result;
@@ -28,8 +28,7 @@ use heaven_array::{Codec, Condenser, MDArray, Minterval, ObjectId};
 use heaven_arraydb::{ArrayDb, ObjectMeta, TileLocation, TileProvider};
 use heaven_hsm::{BlockAddress, DirectStore};
 use heaven_obs::{Field, QueryBreakdown, SpanId};
-use heaven_tape::{MediumId, TapeLibrary, TapeStats};
-use std::collections::HashMap;
+use heaven_tape::{TapeLibrary, TapeStats};
 use std::fmt;
 use std::ops::Deref;
 
@@ -102,8 +101,6 @@ pub struct Heaven {
     pub(crate) catalog_store: CatalogStore,
     active_query: Option<ActiveQuery>,
     last_breakdown: Option<QueryBreakdown>,
-    /// Dead (unreferenced) bytes per medium, from deletes/updates.
-    pub(crate) dead_bytes: HashMap<MediumId, u64>,
 }
 
 impl Deref for Heaven {
@@ -130,7 +127,6 @@ impl Heaven {
             catalog_store,
             active_query: None,
             last_breakdown: None,
-            dead_bytes: HashMap::new(),
         }
     }
 
@@ -277,101 +273,61 @@ impl Heaven {
     // -- catalog mutation (write-through to the base RDBMS) -------------------
 
     /// Register an exported super-tile in the in-memory catalog *and* the
-    /// persistent catalog tables, together with its optional second
-    /// archive copy and wire-payload checksum.
-    pub(crate) fn register_supertile(
-        &mut self,
-        meta: crate::supertile::SuperTileMeta,
-        addr: BlockAddress,
-        replica: Option<BlockAddress>,
-        checksum: u64,
-    ) -> Result<()> {
+    /// persistent catalog tables.
+    pub(crate) fn register_supertile(&mut self, entry: CatalogEntry) -> Result<()> {
         let engine = &mut self.engine;
-        self.catalog_store.insert(
-            engine.adb.get_mut().database_mut(),
-            &meta,
-            addr,
-            replica,
-            checksum,
-        )?;
-        let st = meta.id;
-        engine.catalog.register(meta, addr);
-        engine.catalog.set_checksum(st, checksum);
-        if let Some(r) = replica {
-            engine.catalog.register_replica(st, r);
-        }
+        self.catalog_store
+            .insert(engine.adb.get_mut().database_mut(), &entry)?;
+        engine.catalog.register(entry);
         Ok(())
     }
 
-    /// Remove one super-tile everywhere; returns its old address.
-    pub(crate) fn unregister_supertile(&mut self, st: SuperTileId) -> Result<BlockAddress> {
-        let addr = self.engine.catalog.remove_supertile(st)?;
+    /// Remove one super-tile everywhere.
+    pub(crate) fn unregister_supertile(&mut self, st: SuperTileId) -> Result<()> {
+        self.engine.catalog.remove_supertile(st)?;
         self.catalog_store
-            .remove(self.engine.adb.get_mut().database_mut(), st)?;
-        Ok(addr)
+            .remove(self.engine.adb.get_mut().database_mut(), st)
     }
 
-    /// Remove an object's super-tiles everywhere; returns the freed
-    /// addresses.
-    pub(crate) fn unregister_object(&mut self, oid: ObjectId) -> Result<Vec<BlockAddress>> {
+    /// Remove an object's super-tiles everywhere.
+    pub(crate) fn unregister_object(&mut self, oid: ObjectId) -> Result<()> {
         let engine = &mut self.engine;
-        for st in engine.catalog.object_supertiles(oid) {
+        for st in engine.catalog.remove_object(oid) {
             self.catalog_store
                 .remove(engine.adb.get_mut().database_mut(), st)?;
         }
-        Ok(engine.catalog.remove_object(oid))
-    }
-
-    /// Change a super-tile's address everywhere (compaction).
-    pub(crate) fn relocate_supertile(&mut self, st: SuperTileId, addr: BlockAddress) -> Result<()> {
-        let engine = &mut self.engine;
-        engine.catalog.relocate(st, addr)?;
-        // Compaction rewrites the identical payload, so the replica and
-        // checksum carry over unchanged.
-        self.catalog_store.update_addr(
-            engine.adb.get_mut().database_mut(),
-            st,
-            engine.catalog.meta(st)?,
-            addr,
-            engine.catalog.replica(st),
-            engine.catalog.checksum(st).unwrap_or(0),
-        )?;
         Ok(())
     }
 
+    /// Move the copy of `st` at `from` to `to` everywhere (compaction).
+    pub(crate) fn relocate_copy(
+        &mut self,
+        st: SuperTileId,
+        from: BlockAddress,
+        to: BlockAddress,
+    ) -> Result<()> {
+        let engine = &mut self.engine;
+        engine.catalog.relocate(st, from, to)?;
+        self.catalog_store.update(
+            engine.adb.get_mut().database_mut(),
+            engine.catalog.entry(st)?,
+        )
+    }
+
     /// Rebuild the archive catalog from the persistent tables — used after
-    /// a server restart or RDBMS crash recovery. Dead space per medium is
-    /// recomputed as (bytes used on medium) − (bytes of live super-tiles).
+    /// a server restart or RDBMS crash recovery. Dead space needs no
+    /// rebuild: it is derived from the catalog (see
+    /// [`Heaven::dead_bytes_on`]).
     pub fn rebuild_archive_catalog(&mut self) -> Result<()> {
         let loaded = self
             .catalog_store
             .load_all(self.engine.adb.get_mut().database_mut())?;
         let mut catalog = SuperTileCatalog::new();
-        let mut max_id = 0;
-        let mut live: HashMap<MediumId, u64> = HashMap::new();
-        for (meta, addr, replica, checksum) in loaded {
-            max_id = max_id.max(meta.id);
-            *live.entry(addr.medium).or_insert(0) += addr.len;
-            let st = meta.id;
-            catalog.register(meta, addr);
-            catalog.set_checksum(st, checksum);
-            if let Some(r) = replica {
-                *live.entry(r.medium).or_insert(0) += r.len;
-                catalog.register_replica(st, r);
-            }
+        for entry in loaded {
+            catalog.register(entry);
         }
-        catalog.bump_next_id(max_id);
         debug_assert_eq!(self.catalog_store.len(), catalog.len());
         self.engine.catalog = catalog;
-        self.dead_bytes.clear();
-        let lib = self.engine.store.get_mut().library();
-        for m in lib.media_ids() {
-            let used = lib.medium_used(m).unwrap_or(0);
-            let l = live.get(&m).copied().unwrap_or(0);
-            if used > l {
-                self.dead_bytes.insert(m, used - l);
-            }
-        }
         self.clear_caches();
         Ok(())
     }

@@ -5,10 +5,10 @@ use heaven_array::{CellType, Condenser, MDArray, Minterval, Point, Tiling};
 use heaven_arraydb::{ArrayDb, TileProvider};
 use heaven_core::{
     AccessPattern, ClusteringStrategy, EvictionPolicy, ExportMode, Heaven, HeavenConfig,
-    PrefetchPolicy,
+    HeavenError, PrefetchPolicy,
 };
 use heaven_rdbms::Database;
-use heaven_tape::{DeviceProfile, SimClock, TapeLibrary};
+use heaven_tape::{DeviceProfile, FaultConfig, MediumId, SimClock, TapeLibrary, WritePayload};
 use std::sync::Arc;
 
 fn mi(b: &[(i64, i64)]) -> Minterval {
@@ -309,6 +309,173 @@ fn delete_object_leaves_dead_space_and_reclaim_compacts() {
     assert!(rewritten > 0);
     assert_eq!(heaven.dead_bytes_on(medium), 0);
     // second object still fully readable
+    heaven.clear_caches();
+    let sub = heaven
+        .fetch_region_hierarchical(oid2, &mi(&[(0, 29), (0, 29)]))
+        .unwrap();
+    assert_eq!(sub.sum(), 7.0 * 900.0);
+}
+
+/// The `setup` object plus a second 30x30 object of constant 7, both
+/// exported with the TCT.
+fn two_exported_objects(config: HeavenConfig) -> (Heaven, u64, u64) {
+    let (mut heaven, oid) = setup(config);
+    let arr2 = MDArray::generate(mi(&[(0, 29), (0, 29)]), CellType::I32, |_| 7.0);
+    let oid2 = heaven
+        .arraydb_mut()
+        .insert_object(
+            "climate",
+            &arr2,
+            Tiling::Regular {
+                tile_shape: vec![10, 10],
+            },
+        )
+        .unwrap();
+    heaven.export_object(oid, ExportMode::Tct).unwrap();
+    heaven.export_object(oid2, ExportMode::Tct).unwrap();
+    (heaven, oid, oid2)
+}
+
+/// Used bytes minus the live copies of every catalogued super-tile on
+/// each medium, computed object by object.
+fn expected_dead(heaven: &Heaven) -> Vec<(MediumId, u64)> {
+    let media = heaven.store().library().media_ids();
+    let oids = heaven.arraydb().object_ids();
+    media
+        .into_iter()
+        .map(|m| {
+            let live: u64 = oids
+                .iter()
+                .flat_map(|&oid| heaven.catalog().object_supertiles(oid))
+                .flat_map(|st| heaven.catalog().entry(st).unwrap().copies())
+                .filter(|a| a.medium == m)
+                .map(|a| a.len)
+                .sum();
+            let used = heaven.store().library().medium_used(m).unwrap();
+            (m, used - live)
+        })
+        .collect()
+}
+
+fn dead_per_medium(heaven: &Heaven) -> Vec<(MediumId, u64)> {
+    let media = heaven.store().library().media_ids();
+    media
+        .into_iter()
+        .map(|m| (m, heaven.dead_bytes_on(m)))
+        .collect()
+}
+
+#[test]
+fn reclaiming_a_replica_medium_keeps_its_live_replicas() {
+    let (mut heaven, oid, oid2) = two_exported_objects(HeavenConfig {
+        dual_copy: true,
+        ..small_st_config()
+    });
+    heaven.delete_object(oid).unwrap();
+    let sts = heaven.catalog().object_supertiles(oid2);
+    let first = heaven.catalog().entry(sts[0]).unwrap().clone();
+    let (primary_medium, replica_medium) = (first.addr.medium, first.replica.unwrap().medium);
+    assert!(heaven.dead_fraction(replica_medium) > 0.5);
+
+    // Every live copy on the medium is rewritten, replicas included.
+    let rewritten = heaven.reclaim_medium(replica_medium, 0.1).unwrap();
+    assert_eq!(rewritten, sts.len());
+    assert_eq!(heaven.dead_bytes_on(replica_medium), 0);
+    for &st in &sts {
+        for a in heaven.catalog().entry(st).unwrap().copies() {
+            assert!(
+                heaven
+                    .store()
+                    .library()
+                    .covers(a.medium, a.offset, a.len)
+                    .unwrap(),
+                "catalogued copy {a:?} of super-tile {st} is not on its medium"
+            );
+        }
+    }
+
+    // Recycle the primary medium (erased, then overwritten with foreign
+    // bytes): every read must fail over to the relocated replicas.
+    {
+        let mut store = heaven.store();
+        let lib = store.library_mut();
+        let used = lib.medium_used(primary_medium).unwrap();
+        lib.erase_medium(primary_medium).unwrap();
+        lib.write(
+            primary_medium,
+            WritePayload::real(vec![0xA5u8; used as usize]),
+        )
+        .unwrap();
+    }
+    heaven.clear_caches();
+    let failures_before = heaven.metrics().counter("hsm.checksum_failures").get();
+    let sub = heaven
+        .fetch_region_hierarchical(oid2, &mi(&[(0, 29), (0, 29)]))
+        .unwrap();
+    assert_eq!(sub.sum(), 7.0 * 900.0);
+    assert_eq!(
+        heaven.metrics().counter("hsm.checksum_failures").get() - failures_before,
+        sts.len() as u64,
+        "every super-tile was served by its replica"
+    );
+}
+
+#[test]
+fn dual_copy_dead_space_counts_every_copy_and_survives_rebuilds() {
+    let (mut heaven, oid) = setup(HeavenConfig {
+        dual_copy: true,
+        ..small_st_config()
+    });
+    heaven.export_object(oid, ExportMode::Tct).unwrap();
+    let patch = MDArray::generate(mi(&[(10, 12), (10, 12)]), CellType::I32, |_| -1.0);
+    heaven.update_region(oid, &patch).unwrap();
+    // The rewritten super-tile's old primary and old replica are both
+    // dead, each on its own medium.
+    let dead = dead_per_medium(&heaven);
+    assert_eq!(dead.len(), 2);
+    assert!(dead[0].1 > 0 && dead[0].1 == dead[1].1, "{dead:?}");
+    assert_eq!(dead, expected_dead(&heaven));
+    heaven.rebuild_archive_catalog().unwrap();
+    assert_eq!(dead_per_medium(&heaven), dead);
+    // A media scan re-registers what it finds (replicas supersede their
+    // primaries in tape order); dead space follows the new catalog.
+    heaven.scavenge_catalog_from_media().unwrap();
+    assert_eq!(dead_per_medium(&heaven), expected_dead(&heaven));
+    heaven.clear_caches();
+    let sub = heaven
+        .fetch_region_hierarchical(oid, &mi(&[(9, 13), (9, 13)]))
+        .unwrap();
+    assert_eq!(sub.get_f64(&Point::new(vec![11, 11])).unwrap(), -1.0);
+    assert_eq!(
+        sub.get_f64(&Point::new(vec![9, 9])).unwrap(),
+        value_at(&Point::new(vec![9, 9]))
+    );
+}
+
+#[test]
+fn reclaim_under_corruption_erases_nothing() {
+    let (mut heaven, oid, oid2) = two_exported_objects(small_st_config());
+    let medium = heaven
+        .catalog()
+        .address(heaven.catalog().object_supertiles(oid)[0])
+        .unwrap()
+        .medium;
+    heaven.delete_object(oid).unwrap();
+    let segments = heaven.store().library().medium_segments(medium).unwrap();
+    let dead = heaven.dead_bytes_on(medium);
+    heaven.set_fault_plan(Some(FaultConfig {
+        corrupt_per_read: 1.0,
+        ..FaultConfig::quiet(5)
+    }));
+    let err = heaven.reclaim_medium(medium, 0.1).unwrap_err();
+    assert!(matches!(err, HeavenError::MediaLost { .. }), "{err}");
+    assert_eq!(
+        heaven.store().library().medium_segments(medium).unwrap(),
+        segments,
+        "a failed reclaim must leave the medium untouched"
+    );
+    assert_eq!(heaven.dead_bytes_on(medium), dead);
+    heaven.set_fault_plan(None);
     heaven.clear_caches();
     let sub = heaven
         .fetch_region_hierarchical(oid2, &mi(&[(0, 29), (0, 29)]))

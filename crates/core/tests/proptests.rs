@@ -1,12 +1,19 @@
 //! Property-based tests of HEAVEN's core invariants: STAR/eSTAR
-//! partitioning, the scheduler, the cache, and the super-tile codec.
+//! partitioning, the scheduler, the cache, the super-tile codec, and
+//! archive maintenance (the catalog, the media and dead space agree after
+//! any sequence of exports, updates, deletes, re-imports, reclaims and
+//! catalog rebuilds).
 
 use heaven_array::{CellType, LinearOrder, MDArray, Minterval, Point, Tile, Tiling};
+use heaven_arraydb::ArrayDb;
 use heaven_core::{
     count_exchanges, decode_all, encode_supertile, estar_partition, schedule, star_partition,
-    AccessPattern, EvictionPolicy, FetchRequest, SuperTileCache, TileCache, TileInfo,
+    AccessPattern, EvictionPolicy, ExportMode, FetchRequest, Heaven, HeavenConfig, HeavenError,
+    SuperTileCache, TileCache, TileInfo,
 };
 use heaven_hsm::BlockAddress;
+use heaven_rdbms::Database;
+use heaven_tape::{DeviceProfile, DiskProfile, SimClock, TapeLibrary};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -428,6 +435,210 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// After every maintenance step, under dual copy and compression on
+    /// or off: every catalogued copy is on its medium, dead space equals
+    /// used bytes minus the catalogued copies (and a catalog rebuild
+    /// leaves it unchanged), and every live object reads back equal to
+    /// its mirror.
+    #[test]
+    fn maintenance_keeps_catalog_media_and_dead_space_in_step(
+        dual_copy in any::<bool>(),
+        compress in any::<bool>(),
+        ops in prop::collection::vec(maint_op(), 1..12),
+    ) {
+        let (mut heaven, mut mirror) = maint_system(dual_copy, compress);
+        for op in ops {
+            if mirror.is_empty() {
+                break;
+            }
+            let media = heaven.store().library().media_ids();
+            match op {
+                MaintOp::Export { obj, naive } => {
+                    let oid = mirror[obj % mirror.len()].0;
+                    let mode = if naive { ExportMode::Naive } else { ExportMode::Tct };
+                    match heaven.export_object(oid, mode) {
+                        Ok(_) | Err(HeavenError::AlreadyExported(_)) => {}
+                        Err(e) => panic!("export {oid}: {e}"),
+                    }
+                }
+                MaintOp::Update { obj, lo, ext, value } => {
+                    let n = mirror.len();
+                    let (oid, arr) = &mut mirror[obj % n];
+                    let region = Minterval::new(&[
+                        (lo.0, (lo.0 + ext.0).min(19)),
+                        (lo.1, (lo.1 + ext.1).min(19)),
+                    ])
+                    .unwrap();
+                    let patch = MDArray::generate(region, CellType::I32, |_| value as f64);
+                    heaven.update_region(*oid, &patch).unwrap();
+                    arr.patch(&patch).unwrap();
+                }
+                MaintOp::Delete { obj } => {
+                    let (oid, _) = mirror.remove(obj % mirror.len());
+                    heaven.delete_object(oid).unwrap();
+                }
+                MaintOp::Reimport { obj } => {
+                    let oid = mirror[obj % mirror.len()].0;
+                    match heaven.reimport_object(oid) {
+                        Ok(()) | Err(HeavenError::NotExported(_)) => {}
+                        Err(e) => panic!("reimport {oid}: {e}"),
+                    }
+                }
+                MaintOp::Reclaim { medium, threshold } => {
+                    if !media.is_empty() {
+                        heaven
+                            .reclaim_medium(media[medium % media.len()], threshold)
+                            .unwrap();
+                    }
+                }
+                MaintOp::Rebuild => {
+                    let before = dead_on_media(&heaven);
+                    heaven.rebuild_archive_catalog().unwrap();
+                    prop_assert_eq!(dead_on_media(&heaven), before, "rebuild moved dead space");
+                }
+            }
+            prop_assert_eq!(dead_on_media(&heaven), maint_dead(&heaven, &mirror));
+            heaven.clear_caches();
+            for (oid, arr) in &mirror {
+                let back = heaven.fetch_region_hierarchical(*oid, arr.domain()).unwrap();
+                prop_assert_eq!(&back, arr, "object {} diverged from its mirror", oid);
+            }
+        }
+    }
+}
+
+/// One archive-maintenance step; object and medium indices wrap around
+/// the live objects and the existing media.
+#[derive(Debug, Clone)]
+enum MaintOp {
+    Export {
+        obj: usize,
+        naive: bool,
+    },
+    Update {
+        obj: usize,
+        lo: (i64, i64),
+        ext: (i64, i64),
+        value: i32,
+    },
+    Delete {
+        obj: usize,
+    },
+    Reimport {
+        obj: usize,
+    },
+    Reclaim {
+        medium: usize,
+        threshold: f64,
+    },
+    Rebuild,
+}
+
+/// Reclaim thresholds: always, a little, half, almost all dead.
+const RECLAIM_THRESHOLDS: [f64; 4] = [0.0, 0.1, 0.5, 0.9];
+
+/// Exports and updates three times as likely as deletes, re-imports and
+/// rebuilds, reclaims twice as likely.
+fn maint_op() -> impl Strategy<Value = MaintOp> {
+    (
+        0u8..11,
+        0usize..8,
+        (0i64..20, 0i64..20),
+        (1i64..12, 1i64..12),
+        -99i32..99,
+    )
+        .prop_map(|(kind, n, lo, ext, value)| match kind {
+            0..=2 => MaintOp::Export {
+                obj: n,
+                naive: value % 2 == 0,
+            },
+            3..=5 => MaintOp::Update {
+                obj: n,
+                lo,
+                ext,
+                value,
+            },
+            6 => MaintOp::Delete { obj: n },
+            7 => MaintOp::Reimport { obj: n },
+            8..=9 => MaintOp::Reclaim {
+                medium: n,
+                threshold: RECLAIM_THRESHOLDS[lo.0 as usize % RECLAIM_THRESHOLDS.len()],
+            },
+            _ => MaintOp::Rebuild,
+        })
+}
+
+/// `MAINT_OBJECTS` 20x20 i32 objects in 10x10 tiles, two tiles per
+/// super-tile, on a two-drive library; returns the system and each
+/// object's in-memory mirror.
+const MAINT_OBJECTS: i64 = 3;
+
+fn maint_system(dual_copy: bool, compress: bool) -> (Heaven, Vec<(u64, MDArray)>) {
+    let clock = SimClock::new();
+    let db = Database::new(DiskProfile::scsi2003(), clock.clone(), 4096);
+    let mut adb = ArrayDb::create(db).unwrap();
+    adb.create_collection("m", CellType::I32, 2).unwrap();
+    let mut mirror = Vec::new();
+    for k in 0..MAINT_OBJECTS {
+        let arr = MDArray::generate(
+            Minterval::new(&[(0, 19), (0, 19)]).unwrap(),
+            CellType::I32,
+            |p| (k * 1000 + p.coord(0) * 20 + p.coord(1)) as f64,
+        );
+        let tiling = Tiling::Regular {
+            tile_shape: vec![10, 10],
+        };
+        mirror.push((adb.insert_object("m", &arr, tiling).unwrap(), arr));
+    }
+    let tile_bytes = (Tile::header_len(2) + 100 * 4) as u64;
+    let config = HeavenConfig {
+        supertile_bytes: Some(2 * tile_bytes),
+        dual_copy,
+        compress,
+        ..HeavenConfig::default()
+    };
+    let lib = TapeLibrary::new(DeviceProfile::ibm3590(), 2, clock);
+    (Heaven::new(adb, lib, config), mirror)
+}
+
+/// Dead bytes per medium as the catalog implies them: used bytes minus
+/// every catalogued copy, enumerated object by object. Also checks that
+/// each catalogued copy is actually on its medium.
+fn maint_dead(heaven: &Heaven, mirror: &[(u64, MDArray)]) -> Vec<u64> {
+    let lib_media = heaven.store().library().media_ids();
+    let mut live: HashMap<u64, u64> = HashMap::new();
+    for (oid, _) in mirror {
+        for st in heaven.catalog().object_supertiles(*oid) {
+            for a in heaven.catalog().entry(st).unwrap().copies() {
+                assert!(
+                    heaven
+                        .store()
+                        .library()
+                        .covers(a.medium, a.offset, a.len)
+                        .unwrap(),
+                    "copy {a:?} of super-tile {st} is not on its medium"
+                );
+                *live.entry(a.medium).or_insert(0) += a.len;
+            }
+        }
+    }
+    lib_media
+        .into_iter()
+        .map(|m| {
+            let used = heaven.store().library().medium_used(m).unwrap();
+            used - live.get(&m).copied().unwrap_or(0)
+        })
+        .collect()
+}
+
+fn dead_on_media(heaven: &Heaven) -> Vec<u64> {
+    let media = heaven.store().library().media_ids();
+    media.into_iter().map(|m| heaven.dead_bytes_on(m)).collect()
 }
 
 /// Deterministic run of `n` tiles along the first axis (10x5 i16 each).

@@ -44,6 +44,26 @@ if [ "$ladder_calls" -ne 1 ] || [ "$fetch_counters" -ne 1 ]; then
   exit 1
 fi
 
+echo "==> one archive write path in core"
+# Export (both modes) and update_region write super-tiles through one
+# function (Heaven::archive_supertile in crates/core/src/export.rs). A
+# second call site of the encoder or of the replica writer in the
+# non-test code of crates/core/src (each file's trailing #[cfg(test)]
+# block is exempt; supertile.rs defines the encoder) means a hand-copied
+# write path has crept back in.
+for fn in 'encode_supertile(' 'append_replica('; do
+  calls=0
+  for f in crates/core/src/*.rs; do
+    [ "$f" = crates/core/src/supertile.rs ] && continue
+    n=$(sed '/^#\[cfg(test)\]/,$d' "$f" | grep -c "$fn" || true)
+    calls=$((calls + n))
+  done
+  if [ "$calls" -ne 1 ]; then
+    echo "$fn call sites in non-test crates/core/src: $calls (want 1)"
+    exit 1
+  fi
+done
+
 echo "==> cargo build --release"
 cargo build --release
 
