@@ -318,18 +318,37 @@ impl Minterval {
     /// of every last-axis run of `region`, in row-major order. Errors
     /// when `region` is not contained in `self`.
     pub(crate) fn row_runs(&self, region: &Minterval) -> Result<RowRuns> {
+        self.runs(region, false)
+    }
+
+    /// The row-run walker with contiguous rows merged: where `region`
+    /// spans whole trailing axes of this box, its consecutive rows are
+    /// adjacent in memory, so each run covers them all (a region that
+    /// spans every axis but the first is one run). For kernels that read
+    /// one buffer in row-major order, e.g. the condenser fold.
+    pub(crate) fn block_runs(&self, region: &Minterval) -> Result<RowRuns> {
+        self.runs(region, true)
+    }
+
+    fn runs(&self, region: &Minterval, merge: bool) -> Result<RowRuns> {
         if !self.contains(region) {
             return Err(ArrayError::NotContained {
                 inner: region.to_string(),
                 outer: self.to_string(),
             });
         }
-        // Innermost axis first; the last axis is the run itself.
-        let mut axes = Vec::with_capacity(self.dim().saturating_sub(1));
+        // Innermost axis first; the last axis is the run itself, and with
+        // `merge` so is every axis inside which the region spans whole
+        // axes.
+        let mut axes = Vec::new();
         let (mut stride, mut offset, mut runs) = (1usize, 0usize, 1u64);
+        let mut run_len = 1usize;
+        let mut contiguous = true;
         for (i, (o, r)) in self.axes.iter().zip(&region.axes).enumerate().rev() {
             offset += (r.lo - o.lo) as usize * stride;
-            if i + 1 < self.dim() {
+            if i + 1 == self.dim() || (merge && contiguous) {
+                run_len *= r.extent() as usize;
+            } else {
                 axes.push(RunAxis {
                     pos: 0,
                     extent: r.extent(),
@@ -337,10 +356,11 @@ impl Minterval {
                 });
                 runs *= r.extent();
             }
+            contiguous &= r == o;
             stride *= o.extent() as usize;
         }
         Ok(RowRuns {
-            run_len: region.axes.last().map_or(1, |a| a.extent() as usize),
+            run_len,
             axes,
             offset,
             remaining: runs,
@@ -602,6 +622,26 @@ mod tests {
             .map(|&[a, b]| outer.offset_of(&Point::new(vec![a, b, 0])).unwrap())
             .collect();
         assert_eq!(runs.collect::<Vec<_>>(), want);
+    }
+
+    #[test]
+    fn block_runs_merge_rows_across_whole_trailing_axes() {
+        let outer = mi(&[(0, 3), (10, 14), (-2, 5)]);
+        // Whole last axis: the two rows of each axis-0 step are adjacent.
+        let runs = outer.block_runs(&mi(&[(1, 2), (11, 12), (-2, 5)])).unwrap();
+        assert_eq!(runs.run_len(), 16);
+        let at = |a, b| outer.offset_of(&Point::new(vec![a, b, -2])).unwrap();
+        assert_eq!(runs.collect::<Vec<_>>(), vec![at(1, 11), at(2, 11)]);
+        // Whole trailing axes: one run.
+        let runs = outer.block_runs(&mi(&[(1, 2), (10, 14), (-2, 5)])).unwrap();
+        assert_eq!(
+            (runs.run_len(), runs.collect::<Vec<_>>()),
+            (80, vec![at(1, 10)])
+        );
+        // A partial last axis merges nothing.
+        let region = mi(&[(1, 2), (11, 12), (0, 3)]);
+        let merged: Vec<usize> = outer.block_runs(&region).unwrap().collect();
+        assert_eq!(merged, outer.row_runs(&region).unwrap().collect::<Vec<_>>());
     }
 
     #[test]

@@ -30,8 +30,8 @@ pub use error::{ArrayError, Result};
 pub use frame::{subtract_box, Frame};
 pub use mdd::MDArray;
 pub use ops::{
-    induced_binary, induced_scalar, induced_unary, scale_down, slice, trim, BinaryOp, Condenser,
-    UnaryOp,
+    induced_binary, induced_scalar, induced_unary, scalar_induced, scale_down, slice, trim,
+    BinaryOp, Condenser, Fold, UnaryOp,
 };
 pub use order::LinearOrder;
 pub use tile::{ObjectId, Tile, TileId};

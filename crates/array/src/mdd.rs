@@ -230,10 +230,10 @@ impl MDArray {
         copy_region(src, self, &overlap)
     }
 
-    /// Sum of all cells as f64 (convenience used by tests and condensers).
-    /// Delegates to the typed bulk kernel in [`crate::ops`].
+    /// Sum of all cells as f64 (a convenience for tests and experiments):
+    /// the `add_cells` condenser's fold, 0 for no cells.
     pub fn sum(&self) -> f64 {
-        crate::ops::sum_cells(self.cell_type, self.bytes())
+        crate::ops::Condenser::Sum.eval(self).unwrap_or(0.0)
     }
 }
 

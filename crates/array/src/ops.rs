@@ -5,7 +5,7 @@
 //! operations, and *condensers* (aggregations). HEAVEN's precomputed-result
 //! catalog (§3.9) memoizes condenser results.
 
-use crate::domain::{Interval, Minterval};
+use crate::domain::{Interval, Minterval, RowRuns};
 use crate::error::{ArrayError, Result};
 use crate::mdd::MDArray;
 use crate::value::{with_scalar, CellType, Scalar};
@@ -242,6 +242,32 @@ pub fn induced_scalar(a: &MDArray, scalar: f64, op: BinaryOp) -> Result<MDArray>
     MDArray::from_bytes(a.domain().clone(), out_ty, out)
 }
 
+/// Apply a binary induced operation with the scalar on the *left*
+/// (`scalar OP cell`, e.g. `100 - a`), for the non-commutative ops. A
+/// zero cell under `Div` is a typed error, found before the pass.
+pub fn scalar_induced(scalar: f64, a: &MDArray, op: BinaryOp) -> Result<MDArray> {
+    let out_ty = op.result_type(a.cell_type(), a.cell_type());
+    let n = a.domain().cell_count() as usize;
+    let mut out = vec![0u8; n * out_ty.size_bytes()];
+    with_scalar!(a.cell_type(), S, {
+        if op == BinaryOp::Div && any_zero::<S>(a.bytes()) {
+            return Err(ArrayError::DivisionByZero);
+        }
+        with_scalar!(out_ty, O, {
+            map_cells::<S, O>(a.bytes(), &mut out, |v| {
+                op.apply(scalar, v).expect("divisors checked nonzero")
+            });
+        })
+    });
+    MDArray::from_bytes(a.domain().clone(), out_ty, out)
+}
+
+/// Whether any cell of a raw typed buffer is zero.
+fn any_zero<S: Scalar>(buf: &[u8]) -> bool {
+    buf.chunks_exact(S::SIZE)
+        .any(|b| S::from_le(b).to_f64() == 0.0)
+}
+
 /// A condenser (aggregation over all cells).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Condenser {
@@ -258,6 +284,15 @@ pub enum Condenser {
 }
 
 impl Condenser {
+    /// Every condenser, in declaration order.
+    pub const ALL: [Condenser; 5] = [
+        Condenser::Sum,
+        Condenser::Avg,
+        Condenser::Min,
+        Condenser::Max,
+        Condenser::CountNonZero,
+    ];
+
     /// Parse the query-language name (`add_cells`, `avg_cells`, ...).
     pub fn parse(name: &str) -> Option<Condenser> {
         match name {
@@ -281,21 +316,11 @@ impl Condenser {
         }
     }
 
-    /// Evaluate over a whole array.
-    ///
-    /// Runs a monomorphized fold over the contiguous cell buffer (see
-    /// [`condense_typed`]); accumulation order and f64 widening are
-    /// identical to the old per-point walk, so results are bit-exact.
+    /// Evaluate over a whole array: a one-piece [`Fold`].
     pub fn eval(self, a: &MDArray) -> Result<f64> {
-        let n = a.domain().cell_count();
-        if n == 0 {
-            return Err(ArrayError::Empty("condenser input"));
-        }
-        let mut acc = with_scalar!(a.cell_type(), S, { condense_typed::<S>(self, a.bytes()) });
-        if self == Condenser::Avg {
-            acc /= n as f64;
-        }
-        Ok(acc)
+        let mut fold = Fold::new(self);
+        fold.add(a, a.domain())?;
+        fold.finish()
     }
 
     /// Combine per-partition partial results into the final result.
@@ -326,22 +351,209 @@ impl Condenser {
     }
 }
 
-/// Sequential typed fold over a raw cell buffer — the condenser hot
-/// loop. `chunks_exact` lets the compiler drop per-cell bounds checks
-/// and vectorize the widen-and-accumulate.
-fn condense_typed<S: Scalar>(c: Condenser, buf: &[u8]) -> f64 {
-    let vals = buf.chunks_exact(S::SIZE).map(|b| S::from_le(b).to_f64());
-    match c {
-        Condenser::Sum | Condenser::Avg => vals.fold(0.0, |acc, x| acc + x),
-        Condenser::Min => vals.fold(f64::INFINITY, f64::min),
-        Condenser::Max => vals.fold(f64::NEG_INFINITY, f64::max),
-        Condenser::CountNonZero => vals.fold(0.0, |acc, x| if x != 0.0 { acc + 1.0 } else { acc }),
+/// Lane accumulators of a [`Fold`].
+const LANES: usize = 8;
+
+/// A condenser folded over a sequence of pieces, e.g. the tiles of a
+/// region as the query executor visits them: no assembly buffer is
+/// needed, because condensers are distributive (paper §3.9).
+///
+/// Float cells feed `LANES` = 8 f64 accumulators, so consecutive cells
+/// extend independent dependency chains (and SIMD lanes) instead of one
+/// serial chain. A cell's lane is its ordinal within the whole fold, mod
+/// 8, and the lanes combine in a fixed order: the result depends only on
+/// the cell sequence (pieces in the order added, row-major within each),
+/// not on how that sequence is cut into pieces. Integer cells and counts
+/// fold exactly (i128 sums and counts, integer extremes), so for them no
+/// order matters at all. Min/Max keep the `f64::min`/`f64::max`
+/// semantics, NaN cells skipped included.
+#[derive(Debug, Clone)]
+pub struct Fold {
+    op: Condenser,
+    /// Float sums and extremes, and (in lane 0) integer extremes.
+    lanes: [f64; LANES],
+    /// Integer sums, and every count.
+    exact: i128,
+    cells: u64,
+}
+
+impl Fold {
+    /// An empty fold of `op`.
+    pub fn new(op: Condenser) -> Fold {
+        let identity = match op {
+            Condenser::Min => f64::INFINITY,
+            Condenser::Max => f64::NEG_INFINITY,
+            Condenser::Sum | Condenser::Avg | Condenser::CountNonZero => 0.0,
+        };
+        Fold {
+            op,
+            lanes: [identity; LANES],
+            exact: 0,
+            cells: 0,
+        }
+    }
+
+    /// Fold the cells of `clip` of `src` (`clip` must lie in `src`'s
+    /// domain), row-major, on the row-run walker with contiguous rows
+    /// merged.
+    pub fn add(&mut self, src: &MDArray, clip: &Minterval) -> Result<()> {
+        let runs = src.domain().block_runs(clip)?;
+        let bytes = src.bytes();
+        // One monomorphized loop per cell type and condenser.
+        match src.cell_type() {
+            CellType::U8 => self.add_exact::<u8>(bytes, runs),
+            CellType::I16 => self.add_exact::<i16>(bytes, runs),
+            CellType::I32 => self.add_exact::<i32>(bytes, runs),
+            CellType::F32 => self.add_float::<f32>(bytes, runs),
+            CellType::F64 => self.add_float::<f64>(bytes, runs),
+        }
+        self.cells += clip.cell_count();
+        Ok(())
+    }
+
+    /// Float cells onto the lanes. Min/Max replace a lane only by a
+    /// smaller (greater) cell, so NaN cells are skipped as
+    /// `f64::min`/`f64::max` skip them.
+    fn add_float<S: Scalar>(&mut self, bytes: &[u8], runs: RowRuns) {
+        let (lanes, done, runs) = (&mut self.lanes, self.cells, runs_of::<S>(bytes, runs));
+        match self.op {
+            Condenser::Sum | Condenser::Avg => fold_runs::<S>(lanes, done, runs, |a, x| a + x),
+            Condenser::Min => fold_runs::<S>(lanes, done, runs, min),
+            Condenser::Max => fold_runs::<S>(lanes, done, runs, max),
+            Condenser::CountNonZero => self.exact += count_nonzero::<S>(runs),
+        }
+    }
+
+    /// Integer cells, exactly: i64 run sums (2^31 cells at a time) into
+    /// the i128 total, integer extremes into lane 0.
+    fn add_exact<S: Scalar + Ord + Into<i64>>(&mut self, bytes: &[u8], runs: RowRuns) {
+        let runs = runs_of::<S>(bytes, runs);
+        match self.op {
+            Condenser::Sum | Condenser::Avg => {
+                for run in runs {
+                    for part in run.chunks(S::SIZE << 31) {
+                        self.exact += cells::<S>(part).map(Into::into).sum::<i64>() as i128;
+                    }
+                }
+            }
+            Condenser::Min => {
+                if let Some(m) = runs.filter_map(|r| cells::<S>(r).min()).min() {
+                    self.lanes[0] = min(self.lanes[0], m.into() as f64);
+                }
+            }
+            Condenser::Max => {
+                if let Some(m) = runs.filter_map(|r| cells::<S>(r).max()).max() {
+                    self.lanes[0] = max(self.lanes[0], m.into() as f64);
+                }
+            }
+            Condenser::CountNonZero => self.exact += count_nonzero::<S>(runs),
+        }
+    }
+
+    /// The condenser's value over every cell added; an error when none
+    /// was.
+    pub fn finish(&self) -> Result<f64> {
+        if self.cells == 0 {
+            return Err(ArrayError::Empty("condenser input"));
+        }
+        let l = &self.lanes;
+        let sum = || ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+        let exact = self.exact as f64;
+        Ok(match self.op {
+            Condenser::Sum => sum() + exact,
+            Condenser::Avg => (sum() + exact) / self.cells as f64,
+            Condenser::CountNonZero => exact,
+            Condenser::Min => l.iter().copied().fold(f64::INFINITY, min),
+            Condenser::Max => l.iter().copied().fold(f64::NEG_INFINITY, max),
+        })
     }
 }
 
-/// Sum of all cells of a raw typed buffer (backs [`MDArray::sum`]).
-pub(crate) fn sum_cells(cell_type: CellType, buf: &[u8]) -> f64 {
-    with_scalar!(cell_type, S, { condense_typed::<S>(Condenser::Sum, buf) })
+/// The lesser of a lane and a cell; a NaN cell leaves the lane.
+#[inline(always)]
+fn min(a: f64, x: f64) -> f64 {
+    if x < a {
+        x
+    } else {
+        a
+    }
+}
+
+/// The greater of a lane and a cell; a NaN cell leaves the lane.
+#[inline(always)]
+fn max(a: f64, x: f64) -> f64 {
+    if x > a {
+        x
+    } else {
+        a
+    }
+}
+
+/// The byte runs of `bytes` at the row-run walker's cell offsets.
+fn runs_of<S: Scalar>(bytes: &[u8], runs: RowRuns) -> impl Iterator<Item = &[u8]> {
+    let run_bytes = runs.run_len() * S::SIZE;
+    runs.map(move |off| &bytes[off * S::SIZE..][..run_bytes])
+}
+
+/// The cells of a byte run.
+fn cells<'a, S: Scalar + 'a>(run: &'a [u8]) -> impl Iterator<Item = S> + 'a {
+    run.chunks_exact(S::SIZE).map(S::from_le)
+}
+
+/// Cells of `runs` that are not zero (NaN included, as `x != 0.0`),
+/// counted in u32 2^31 cells at a time.
+fn count_nonzero<'a, S: Scalar + 'a>(runs: impl Iterator<Item = &'a [u8]>) -> i128 {
+    runs.flat_map(|run| run.chunks(S::SIZE << 31))
+        .map(|part| {
+            cells::<S>(part)
+                .map(|x| (x.to_f64() != 0.0) as u32)
+                .sum::<u32>() as i128
+        })
+        .sum()
+}
+
+/// Fold `runs` into `lanes`, the first cell on lane `done % LANES`.
+#[inline(always)]
+fn fold_runs<'a, S: Scalar>(
+    lanes: &mut [f64; LANES],
+    done: u64,
+    runs: impl Iterator<Item = &'a [u8]>,
+    f: impl Fn(f64, f64) -> f64 + Copy,
+) {
+    let mut acc = *lanes;
+    let mut lane = (done % LANES as u64) as usize;
+    // Fold `cells` onto the lanes of `acc`, one each (they must fit).
+    let onto = |acc: &mut [f64], cells: &[u8]| {
+        for (a, c) in acc.iter_mut().zip(cells.chunks_exact(S::SIZE)) {
+            *a = f(*a, S::from_le(c).to_f64());
+        }
+    };
+    for run in runs {
+        // Head: the cells up to the next lane-0 boundary (all of a run
+        // that ends before it).
+        let head = ((LANES - lane) % LANES * S::SIZE).min(run.len());
+        let (head, body) = run.split_at(head);
+        onto(&mut acc[lane..], head);
+        lane = (lane + head.len() / S::SIZE) % LANES;
+        if body.is_empty() {
+            continue;
+        }
+        // Body: whole lane groups, cell j of a group on lane j, with the
+        // lanes in registers.
+        let mut groups = body.chunks_exact(LANES * S::SIZE);
+        let mut regs = acc;
+        for g in &mut groups {
+            for (j, a) in regs.iter_mut().enumerate() {
+                *a = f(*a, S::from_le(&g[j * S::SIZE..][..S::SIZE]).to_f64());
+            }
+        }
+        acc = regs;
+        // Tail: the leftover cells start a group at lane 0.
+        let tail = groups.remainder();
+        onto(&mut acc, tail);
+        lane = tail.len() / S::SIZE;
+    }
+    *lanes = acc;
 }
 
 /// Scale (downsample) an array by integer `factors` per axis: each result
@@ -511,6 +723,23 @@ mod tests {
         assert_eq!(Condenser::Min.eval(&a).unwrap(), 0.0);
         assert_eq!(Condenser::Max.eval(&a).unwrap(), 15.0);
         assert_eq!(Condenser::CountNonZero.eval(&a).unwrap(), 15.0);
+    }
+
+    #[test]
+    fn fold_lane_follows_the_cell_ordinal() {
+        // 1e16 at ordinal 0 and 1.0 at ordinals 8 and 16 share lane 0,
+        // where each 1.0 rounds away. A fold that restarted its lanes per
+        // piece would put both ones on one other lane and keep their 2.0.
+        let mut cells = [0.0f64; 17];
+        (cells[0], cells[8], cells[16]) = (1e16, 1.0, 1.0);
+        let bytes = cells.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let a = MDArray::from_bytes(mi(&[(0, 16)]), CellType::F64, bytes).unwrap();
+        assert_eq!(Condenser::Sum.eval(&a).unwrap(), 1e16);
+        let mut fold = Fold::new(Condenser::Sum);
+        fold.add(&a, &mi(&[(0, 4)])).unwrap();
+        fold.add(&a, &mi(&[(5, 16)])).unwrap();
+        assert_eq!(fold.finish().unwrap(), 1e16);
+        assert!(Fold::new(Condenser::Max).finish().is_err());
     }
 
     #[test]

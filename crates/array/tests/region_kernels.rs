@@ -1,12 +1,14 @@
 //! The region kernels (`copy_region`, `patch`, `extract`, `slice`,
-//! `scale_down`, unaligned `induced_binary`) run on the row-run walker.
-//! These properties check them bit for bit, errors included, against the
-//! per-point walks they replaced, kept here as references.
+//! `scale_down`, unaligned `induced_binary`, the condenser `Fold`) run on
+//! the row-run walker, and `scalar_induced` is one typed pass. These
+//! properties check them bit for bit, errors included, against the
+//! per-point walks and sequential folds they replaced, kept here as
+//! references.
 
 use heaven_array::mdd::copy_region;
 use heaven_array::{
-    induced_binary, scale_down, slice, ArrayError, BinaryOp, CellType, Interval, MDArray,
-    Minterval, Point, Result,
+    induced_binary, scalar_induced, scale_down, slice, ArrayError, BinaryOp, CellType, Condenser,
+    Fold, Interval, MDArray, Minterval, Point, Result,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -118,6 +120,107 @@ fn scale_down_per_point(a: &MDArray, factors: &[u64]) -> Result<MDArray> {
         out.set(&op, acc / block.cell_count() as f64)?;
     }
     Ok(out)
+}
+
+/// The per-point `scalar OP array` of the query executor: `get_f64`,
+/// the scalar on the left, `set`, one point at a time.
+fn scalar_induced_per_point(s: f64, a: &MDArray, op: BinaryOp) -> Result<MDArray> {
+    let out_ty = op.result_type(a.cell_type(), a.cell_type());
+    let mut out = MDArray::zeros(a.domain().clone(), out_ty);
+    for p in a.domain().iter_points() {
+        let y = a.get_f64(&p)?;
+        let v = match op {
+            BinaryOp::Add => s + y,
+            BinaryOp::Sub => s - y,
+            BinaryOp::Mul => s * y,
+            BinaryOp::Div => {
+                if y == 0.0 {
+                    return Err(ArrayError::DivisionByZero);
+                }
+                s / y
+            }
+            BinaryOp::Min => s.min(y),
+            BinaryOp::Max => s.max(y),
+            BinaryOp::Lt => (s < y) as u8 as f64,
+            BinaryOp::Le => (s <= y) as u8 as f64,
+            BinaryOp::Gt => (s > y) as u8 as f64,
+            BinaryOp::Ge => (s >= y) as u8 as f64,
+            BinaryOp::Eq => (s == y) as u8 as f64,
+            BinaryOp::Ne => (s != y) as u8 as f64,
+        };
+        out.set(&p, v)?;
+    }
+    Ok(out)
+}
+
+const BINARY_OPS: [BinaryOp; 12] = [
+    BinaryOp::Add,
+    BinaryOp::Sub,
+    BinaryOp::Mul,
+    BinaryOp::Div,
+    BinaryOp::Min,
+    BinaryOp::Max,
+    BinaryOp::Lt,
+    BinaryOp::Le,
+    BinaryOp::Gt,
+    BinaryOp::Ge,
+    BinaryOp::Eq,
+    BinaryOp::Ne,
+];
+
+/// The sequential condenser fold `Condenser::eval` ran before the lane
+/// kernel: one f64 dependency chain over the cells in row-major order.
+fn condense_sequential(op: Condenser, a: &MDArray) -> f64 {
+    let vals = a.domain().iter_points().map(|p| a.get_f64(&p).unwrap());
+    let n = a.domain().cell_count() as f64;
+    match op {
+        Condenser::Sum => vals.fold(0.0, |acc, x| acc + x),
+        Condenser::Avg => vals.fold(0.0, |acc, x| acc + x) / n,
+        Condenser::Min => vals.fold(f64::INFINITY, f64::min),
+        Condenser::Max => vals.fold(f64::NEG_INFINITY, f64::max),
+        Condenser::CountNonZero => vals.fold(0.0, |acc, x| if x != 0.0 { acc + 1.0 } else { acc }),
+    }
+}
+
+/// Finite cells with fractional parts (for the float types), so sums
+/// round differently in different addition orders.
+fn finite_array(dom: &Minterval, ty: CellType, rng: &mut StdRng) -> MDArray {
+    MDArray::generate(dom.clone(), ty, |_| match ty {
+        CellType::F32 | CellType::F64 => rng.gen_range(-1.0e6..1.0e6),
+        _ => rng.gen_range(-40_000..40_000i64) as f64,
+    })
+}
+
+/// `region` cut into random boxes along its first axis, then (above
+/// 1-D) each of those along its last axis: pieces in row-major order of
+/// the cut.
+fn random_pieces(region: &Minterval, rng: &mut StdRng) -> Vec<Minterval> {
+    let cuts = |iv: Interval, rng: &mut StdRng| {
+        let mut out = Vec::new();
+        let mut lo = iv.lo;
+        while lo <= iv.hi {
+            let hi = (lo + rng.gen_range(0..3i64)).min(iv.hi);
+            out.push(Interval::new(lo, hi).unwrap());
+            lo = hi + 1;
+        }
+        out
+    };
+    let last = region.dim() - 1;
+    let mut pieces = Vec::new();
+    for first in cuts(region.axis(0), rng) {
+        let mut axes = region.axes().to_vec();
+        axes[0] = first;
+        if last == 0 {
+            pieces.push(Minterval::from_intervals(axes));
+            continue;
+        }
+        for tail in cuts(region.axis(last), rng) {
+            let mut axes = axes.clone();
+            axes[last] = tail;
+            pieces.push(Minterval::from_intervals(axes));
+        }
+    }
+    pieces
 }
 
 /// Every byte random, so float cells include NaN and infinity patterns.
@@ -269,5 +372,66 @@ proptest! {
             induced_binary(&a, &zeros, BinaryOp::Div).unwrap_err(),
             ArrayError::DivisionByZero
         );
+    }
+
+    #[test]
+    fn scalar_on_the_left_matches_per_point_reference(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (_, dom, _) = random_case(&mut rng);
+        let s = [0.0, -3.5, 250.0, f64::NAN][rng.gen_range(0..4usize)];
+        for ty in TYPES {
+            // Random bytes: zeros (for `Div`), NaNs and infinities.
+            let a = random_array(&dom, ty, &mut rng);
+            for op in BINARY_OPS {
+                prop_assert_eq!(scalar_induced(s, &a, op), scalar_induced_per_point(s, &a, op));
+            }
+        }
+    }
+
+    #[test]
+    fn fold_matches_sequential_reference(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (_, dom, _) = random_case(&mut rng);
+        for ty in TYPES {
+            // Min/Max/Count exactly, over random bytes (NaN cells skipped
+            // by Min/Max as `f64::min`/`f64::max` do).
+            let a = random_array(&dom, ty, &mut rng);
+            for op in [Condenser::Min, Condenser::Max, Condenser::CountNonZero] {
+                let (got, want) = (op.eval(&a).unwrap(), condense_sequential(op, &a));
+                prop_assert!(got == want, "{:?} {:?}: {} vs {}", ty, op, got, want);
+            }
+            // Sum/Avg to within 1e-12 of the magnitude summed.
+            let a = finite_array(&dom, ty, &mut rng);
+            let scale: f64 = a.domain().iter_points().map(|p| a.get_f64(&p).unwrap().abs()).sum();
+            for op in [Condenser::Sum, Condenser::Avg] {
+                let (got, want) = (op.eval(&a).unwrap(), condense_sequential(op, &a));
+                prop_assert!((got - want).abs() <= 1e-12 * scale.max(1.0), "{:?} {:?}: {} vs {}", ty, op, got, want);
+            }
+        }
+    }
+
+    #[test]
+    fn fold_over_pieces_equals_fold_over_their_cell_sequence(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (region, dom, _) = random_case(&mut rng);
+        for ty in TYPES {
+            let a = finite_array(&dom, ty, &mut rng);
+            let pieces = random_pieces(&region, &mut rng);
+            // The same cells, in piece order, as one 1-D array.
+            let bytes: Vec<u8> = pieces
+                .iter()
+                .flat_map(|p| a.extract(p).unwrap().into_bytes())
+                .collect();
+            let n = region.cell_count() as i64;
+            let line = MDArray::from_bytes(Minterval::new(&[(0, n - 1)]).unwrap(), ty, bytes).unwrap();
+            for op in Condenser::ALL {
+                let mut fold = Fold::new(op);
+                for p in &pieces {
+                    fold.add(&a, p).unwrap();
+                }
+                let (got, want) = (fold.finish().unwrap(), op.eval(&line).unwrap());
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} {:?}", ty, op);
+            }
+        }
     }
 }

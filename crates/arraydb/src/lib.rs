@@ -17,7 +17,7 @@ pub mod schema;
 pub mod storage;
 
 pub use error::{ArrayDbError, Result};
-pub use provider::TileProvider;
+pub use provider::{visit_clip, TileProvider, Visitor};
 pub use ql::{run, QueryResult, Value};
 pub use schema::{Collection, CollectionId, ObjectMeta};
 pub use storage::{ArrayDb, TileLocation};

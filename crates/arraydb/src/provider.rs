@@ -9,9 +9,34 @@
 use crate::error::Result;
 use crate::schema::ObjectMeta;
 use crate::storage::ArrayDb;
+use heaven_array::mdd::copy_region;
 use heaven_array::{Condenser, Frame, MDArray, Minterval, ObjectId};
 
+/// The callback of [`TileProvider::visit_region`]: `f(clip, src)` for one
+/// tile piece, where `src`'s domain contains `clip`.
+pub type Visitor<'a> = dyn FnMut(&Minterval, &MDArray) -> heaven_array::Result<()> + 'a;
+
+/// Call `f(clip, src)` with `clip` = `src`'s domain ∩ `region`, if they
+/// meet (a tile inside the region is its own clip: nothing to build).
+pub fn visit_clip(region: &Minterval, src: &MDArray, f: &mut Visitor) -> heaven_array::Result<()> {
+    if region.contains(src.domain()) {
+        return f(src.domain(), src);
+    }
+    match src.domain().intersection(region) {
+        Some(clip) => f(&clip, src),
+        None => Ok(()),
+    }
+}
+
 /// Source of object metadata and cell data for the query executor.
+///
+/// Cell data comes out two ways. [`Self::fetch_region`] materializes a
+/// region into one array. [`Self::visit_region`] hands out the region
+/// tile piece by tile piece, in grid (row-major tile) order, so a
+/// consumer that folds (a condenser) needs no assembly buffer and no
+/// copy. The two are defined in terms of each other only one way: the
+/// default visitor assembles through `fetch_region`, which every provider
+/// implements.
 pub trait TileProvider {
     /// Metadata of an object.
     fn object_meta(&self, oid: ObjectId) -> Result<ObjectMeta>;
@@ -23,8 +48,28 @@ pub trait TileProvider {
     /// object domain).
     fn fetch_region(&mut self, oid: ObjectId, region: &Minterval) -> Result<MDArray>;
 
+    /// Visit `region` of `oid` (clipped to the object domain): call
+    /// `f(clip, src)` once per object tile that meets the region, in grid
+    /// order, where `clip` is the tile's domain ∩ region and `src` is any
+    /// array whose domain contains `clip`. A fold over the visits sees the
+    /// region's cells in one canonical sequence whatever the provider.
+    ///
+    /// Default: assemble through [`Self::fetch_region`], then visit that
+    /// array's clips in the same order.
+    fn visit_region(&mut self, oid: ObjectId, region: &Minterval, f: &mut Visitor) -> Result<()> {
+        let meta = self.object_meta(oid)?;
+        let whole = self.fetch_region(oid, region)?;
+        for (dom, _) in meta.tiles_in(whole.domain()) {
+            if let Some(clip) = dom.intersection(whole.domain()) {
+                f(&clip, &whole)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Materialize the cells of a frame into its bounding box (cells outside
-    /// the frame are zero). Default: fetch box by box.
+    /// the frame are zero). Default: visit box by box, copying each clip
+    /// straight into the bounding box.
     fn fetch_frame(&mut self, oid: ObjectId, frame: &Frame) -> Result<MDArray> {
         let meta = self.object_meta(oid)?;
         let clipped = frame.clip(&meta.domain);
@@ -33,8 +78,7 @@ pub trait TileProvider {
         })?;
         let mut out = MDArray::zeros(bbox, meta.cell_type);
         for b in clipped.boxes() {
-            let part = self.fetch_region(oid, b)?;
-            out.patch(&part)?;
+            self.visit_region(oid, b, &mut |clip, src| copy_region(src, &mut out, clip))?;
         }
         Ok(out)
     }
@@ -72,6 +116,10 @@ impl TileProvider for ArrayDb {
 
     fn fetch_region(&mut self, oid: ObjectId, region: &Minterval) -> Result<MDArray> {
         self.read_subarray(oid, region)
+    }
+
+    fn visit_region(&mut self, oid: ObjectId, region: &Minterval, f: &mut Visitor) -> Result<()> {
+        self.visit_subarray(oid, region, f)
     }
 }
 

@@ -11,8 +11,8 @@ use super::ast::{BoxSel, Expr, FrameSpec, Query, RangeSel};
 use crate::error::{ArrayDbError, Result};
 use crate::provider::TileProvider;
 use heaven_array::{
-    induced_binary, induced_scalar, induced_unary, scale_down, slice, trim, BinaryOp, Condenser,
-    Frame, Interval, MDArray, Minterval, ObjectId, UnaryOp,
+    induced_binary, induced_scalar, induced_unary, scalar_induced, scale_down, slice, trim,
+    BinaryOp, Condenser, Fold, Frame, Interval, MDArray, Minterval, ObjectId, UnaryOp,
 };
 
 /// A query result value.
@@ -142,20 +142,10 @@ fn eval_binary(op: BinaryOp, l: Value, r: Value) -> Result<Value> {
         (Value::Array(a), Value::Scalar(s)) => Value::Array(induced_scalar(&a, s, op)?),
         (Value::Scalar(s), Value::Array(a)) => {
             // non-commutative ops need the scalar on the left
-            Value::Array(scalar_op_array(s, &a, op)?)
+            Value::Array(scalar_induced(s, &a, op)?)
         }
         (Value::Scalar(x), Value::Scalar(y)) => Value::Scalar(scalar_op_scalar(x, y, op)?),
     })
-}
-
-fn scalar_op_array(s: f64, a: &MDArray, op: BinaryOp) -> Result<MDArray> {
-    let out_ty = op.result_type(a.cell_type(), a.cell_type());
-    let mut out = MDArray::zeros(a.domain().clone(), out_ty);
-    for p in a.domain().iter_points() {
-        let v = scalar_op_scalar(s, a.get_f64(&p)?, op)?;
-        out.set(&p, v)?;
-    }
-    Ok(out)
 }
 
 fn scalar_op_scalar(x: f64, y: f64, op: BinaryOp) -> Result<f64> {
@@ -333,8 +323,10 @@ fn eval_condense(
         if let Some(v) = provider.precomputed(oid, c, &region) {
             return Ok(Value::Scalar(v));
         }
-        let arr = provider.fetch_region(oid, &region)?;
-        let v = c.eval(&arr)?;
+        // Fold tile piece by tile piece: no assembly buffer, no copy.
+        let mut fold = Fold::new(c);
+        provider.visit_region(oid, &region, &mut |clip, src| fold.add(src, clip))?;
+        let v = fold.finish()?;
         provider.note_computed(oid, c, &region, v);
         return Ok(Value::Scalar(v));
     }

@@ -8,7 +8,9 @@
 //! job of the HEAVEN layer above.
 
 use crate::error::{ArrayDbError, Result};
+use crate::provider::{visit_clip, Visitor};
 use crate::schema::{Collection, CollectionId, ObjectMeta};
+use heaven_array::mdd::copy_region;
 use heaven_array::{CellType, MDArray, Minterval, ObjectId, Tile, TileId, Tiling};
 use heaven_obs::{Field, Histogram, MetricsRegistry, TraceBus};
 use heaven_rdbms::{BTree, BlobStore, Database, Table};
@@ -343,27 +345,36 @@ impl ArrayDb {
 
     /// Assemble the sub-array of `oid` covering `region` from on-disk tiles.
     pub fn read_subarray(&mut self, oid: ObjectId, region: &Minterval) -> Result<MDArray> {
-        let (target, tile_ids, cell_type) = {
+        let (target, cell_type) = {
             let meta = self.object(oid)?;
-            let target = meta
-                .domain
-                .intersection(region)
-                .ok_or(ArrayDbError::Semantic(format!(
-                    "region {region} outside object domain {}",
-                    meta.domain
-                )))?;
-            (
-                target.clone(),
-                meta.tiles_intersecting(&target),
-                meta.cell_type,
-            )
+            (clip_to_object(meta, region)?, meta.cell_type)
         };
         let mut out = MDArray::zeros(target, cell_type);
-        for tid in tile_ids {
-            let tile = self.read_tile(tid)?;
-            out.patch(&tile.data)?;
-        }
+        self.visit_subarray(oid, region, &mut |clip, src| {
+            copy_region(src, &mut out, clip)
+        })?;
         Ok(out)
+    }
+
+    /// Visit the on-disk tiles of `oid` that meet `region` (clipped to
+    /// the object domain) in grid order: `f(clip, tile)` with `clip` the
+    /// tile's domain ∩ region (see [`crate::TileProvider::visit_region`]).
+    pub fn visit_subarray(
+        &mut self,
+        oid: ObjectId,
+        region: &Minterval,
+        f: &mut Visitor,
+    ) -> Result<()> {
+        let (target, tile_ids) = {
+            let meta = self.object(oid)?;
+            let target = clip_to_object(meta, region)?;
+            let tile_ids = meta.tiles_intersecting(&target);
+            (target, tile_ids)
+        };
+        for tid in tile_ids {
+            visit_clip(&target, &self.read_tile(tid)?.data, f)?;
+        }
+        Ok(())
     }
 
     /// Delete an object: all its on-disk tiles, its catalog entries, and its
@@ -450,6 +461,16 @@ impl ArrayDb {
 // ---------------------------------------------------------------------------
 // catalog row codecs
 // ---------------------------------------------------------------------------
+
+/// `region` ∩ the object's domain; an error when they do not meet.
+fn clip_to_object(meta: &ObjectMeta, region: &Minterval) -> Result<Minterval> {
+    meta.domain.intersection(region).ok_or_else(|| {
+        ArrayDbError::Semantic(format!(
+            "region {region} outside object domain {}",
+            meta.domain
+        ))
+    })
+}
 
 fn encode_collection_row(c: &Collection) -> Vec<u8> {
     let mut row = Vec::with_capacity(16 + c.name.len());

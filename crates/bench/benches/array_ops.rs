@@ -3,7 +3,7 @@
 //! retrieval (the device costs are simulated and excluded here).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use heaven_array::{trim, CellType, Condenser, LinearOrder, MDArray, Minterval, Tiling};
+use heaven_array::{trim, CellType, Condenser, Fold, LinearOrder, MDArray, Minterval, Tiling};
 
 fn mi(b: &[(i64, i64)]) -> Minterval {
     Minterval::new(b).unwrap()
@@ -104,12 +104,67 @@ fn bench_patch_tiles(c: &mut Criterion) {
     }
 }
 
+/// The condense kernel on `warm_rasql`-sized boxes: ~13k and ~52k cells
+/// of f32 (climate) and u8 (satellite) data, whole-array and folded over
+/// the warm path's tile pieces (4x8x8 f32 tiles, grid order).
+fn bench_condense(c: &mut Criterion) {
+    let boxes = [
+        ("f32 13k", mi(&[(0, 7), (0, 40), (0, 40)]), CellType::F32),
+        ("f32 52k", mi(&[(0, 15), (0, 56), (0, 56)]), CellType::F32),
+        ("u8 13k", mi(&[(0, 114), (0, 114)]), CellType::U8),
+        ("u8 52k", mi(&[(0, 227), (0, 227)]), CellType::U8),
+    ];
+    for (name, dom, ty) in boxes {
+        let arr = MDArray::generate(dom, ty, |p| {
+            ((p.coord(0) * 37 + p.coord(1) * 11 + p.coord(p.0.len() - 1)) % 251) as f64 / 2.0
+        });
+        for op in [Condenser::Sum, Condenser::Max] {
+            c.bench_function(&format!("ops/condense {} {name}", op.name()), |b| {
+                b.iter(|| black_box(op.eval(black_box(&arr)).unwrap()))
+            });
+        }
+    }
+    let query = mi(&[(2, 9), (17, 56), (30, 70)]);
+    let pieces: Vec<(Minterval, MDArray)> = Tiling::Regular {
+        tile_shape: vec![4, 8, 8],
+    }
+    .tile_domains(&mi(&[(0, 15), (0, 127), (0, 127)]), CellType::F32)
+    .unwrap()
+    .into_iter()
+    .filter_map(|t| {
+        let clip = t.intersection(&query)?;
+        Some((
+            clip,
+            MDArray::generate(t, CellType::F32, |p| p.coord(1) as f64 / 3.0),
+        ))
+    })
+    .collect();
+    for op in [Condenser::Sum, Condenser::Max] {
+        c.bench_function(
+            &format!(
+                "ops/fold {} over 4x8x8 f32 tile pieces of 5% box",
+                op.name()
+            ),
+            |b| {
+                b.iter(|| {
+                    let mut fold = Fold::new(op);
+                    for (clip, tile) in &pieces {
+                        fold.add(black_box(tile), clip).unwrap();
+                    }
+                    black_box(fold.finish().unwrap())
+                })
+            },
+        );
+    }
+}
+
 criterion_group!(
     benches,
     bench_tiling,
     bench_orders,
     bench_trim_and_condense,
     bench_patch,
-    bench_patch_tiles
+    bench_patch_tiles,
+    bench_condense
 );
 criterion_main!(benches);

@@ -27,6 +27,7 @@ use parking_lot::{Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// Eviction strategy of the super-tile cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -624,7 +625,7 @@ impl SuperTileCache {
 /// Lock-striped like [`SuperTileCache`]; `new()` is single-shard.
 #[derive(Debug)]
 pub struct TileCache {
-    core: Stripes<Tile>,
+    core: Stripes<Arc<Tile>>,
 }
 
 impl TileCache {
@@ -649,17 +650,20 @@ impl TileCache {
 
     front_methods!(TileId);
 
-    /// Look up a tile. The returned tile shares the cached payload (the
-    /// clone is a refcount bump); a caller that mutates it detaches via
-    /// copy-on-write without disturbing the cached copy.
-    pub fn get(&self, id: TileId) -> Option<Tile> {
-        self.core.get(id, |e| e.value.clone())
+    /// Look up a tile. A hit hands out the cached tile itself: one
+    /// refcount bump, no copy of its domain or payload.
+    pub fn get(&self, id: TileId) -> Option<Arc<Tile>> {
+        self.core.get(id, |e| Arc::clone(&e.value))
     }
 
-    /// Insert a tile, evicting LRU entries as needed. The payload is
-    /// frozen into shared form (O(1)) so subsequent `get`s are zero-copy.
-    pub fn put(&self, mut tile: Tile) {
-        tile.data.freeze_payload();
+    /// Insert a tile, evicting LRU entries as needed. The payload of a
+    /// tile handed in by value is frozen into shared form (O(1)), so a
+    /// caller that clones a hit's payload gets a refcount bump too.
+    pub fn put(&self, tile: impl Into<Arc<Tile>>) {
+        let mut tile = tile.into();
+        if let Some(t) = Arc::get_mut(&mut tile) {
+            t.data.freeze_payload();
+        }
         let len = tile.payload_bytes();
         self.core.put(tile.id, tile, len, 0.0, |_, _| {}, || {});
     }

@@ -78,8 +78,9 @@ use crate::sizing::optimal_supertile_size;
 use crate::supertile::{checksum64, decode_member, SuperTileId, SuperTileMeta};
 use crate::system::HeavenStats;
 use bytes::Bytes;
-use heaven_array::{Codec, MDArray, Minterval, ObjectId, Tile, TileId};
-use heaven_arraydb::{ArrayDb, TileLocation};
+use heaven_array::mdd::copy_region;
+use heaven_array::{CellType, Codec, MDArray, Minterval, ObjectId, Tile, TileId};
+use heaven_arraydb::{visit_clip, ArrayDb, TileLocation, Visitor};
 use heaven_hsm::{BlockAddress, DirectStore, HsmError};
 use heaven_obs::{Counter, FloatCounter, Histogram, MetricsRegistry, TraceBus};
 use heaven_tape::{DiskProfile, MediumId, SimClock, TapeError, TapeLibrary, TapeStats};
@@ -88,6 +89,21 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Exported tiles of one region visit still to stage, by super-tile:
+/// `(slot, tile)` pairs, the slot being the tile's grid index in the
+/// region.
+type Pending = BTreeMap<SuperTileId, Vec<(usize, TileId)>>;
+
+/// What a region access needs of its object.
+struct Target {
+    oid: ObjectId,
+    /// The requested region ∩ the object's domain.
+    region: Minterval,
+    /// The object's tiles that meet `region`, in grid order.
+    tiles: Vec<TileId>,
+    cell_type: CellType,
+}
 
 /// Metric handles of the whole retrieval path; the registry is the source
 /// of truth and [`HeavenStats`] is reconstructed from it on demand.
@@ -855,28 +871,44 @@ impl ConcurrentHeaven {
     // -- the retrieval path (paper §3.5.2) -----------------------------------
 
     /// Fetch one tile through the hierarchy (memory → disk → tape).
-    pub fn fetch_tile(&self, tile: TileId) -> Result<Tile> {
+    pub fn fetch_tile(&self, tile: TileId) -> Result<Arc<Tile>> {
         if let Some(t) = self.tile_cache.get(tile) {
             return Ok(t);
         }
         let loc = self.adb.lock().tile_location(tile)?;
-        let t = match loc {
+        let t = Arc::new(match loc {
             TileLocation::Disk => self.adb.lock().read_tile(tile)?,
             TileLocation::Exported => {
                 let st = self.catalog.supertile_of(tile)?;
                 let payload = self.supertile_payload(&self.clock, st)?;
                 decode_member(self.catalog.meta(st)?, &payload, tile)?
             }
-        };
-        self.tile_cache.put(t.clone());
+        });
+        self.tile_cache.put(Arc::clone(&t));
         Ok(t)
     }
 
-    /// Materialize `region` of `oid` across the whole hierarchy, charging
-    /// overlappable work to `lane` (the shared clock for the single
-    /// owner, a session's private lane otherwise). The tertiary misses
-    /// go through the cross-session batcher when `batched`, else through
-    /// the direct path (per-query scheduling, sparse reads, prefetch).
+    /// What a region access needs of `oid`, read under one DBMS lock.
+    fn target_of(&self, oid: ObjectId, region: &Minterval) -> Result<Target> {
+        let adb = self.adb.lock();
+        let meta = adb.object(oid)?;
+        let region = meta.domain.intersection(region).ok_or_else(|| {
+            HeavenError::Config(format!(
+                "region {region} outside object domain {}",
+                meta.domain
+            ))
+        })?;
+        Ok(Target {
+            oid,
+            tiles: meta.tiles_intersecting(&region),
+            region,
+            cell_type: meta.cell_type,
+        })
+    }
+
+    /// Materialize `region` of `oid` across the whole hierarchy: one
+    /// buffer, one copy of each visited clip into it (counted in
+    /// `heaven.bytes_copied`). See [`Self::visit_region_on`].
     pub(crate) fn fetch_region_on(
         &self,
         lane: &SimClock,
@@ -884,88 +916,117 @@ impl ConcurrentHeaven {
         region: &Minterval,
         batched: bool,
     ) -> Result<MDArray> {
-        self.metrics.region_fetches.inc();
-        let meta = self.adb.lock().object(oid)?.clone();
-        let target = meta.domain.intersection(region).ok_or_else(|| {
-            HeavenError::Config(format!(
-                "region {region} outside object domain {}",
-                meta.domain
-            ))
+        let target = self.target_of(oid, region)?;
+        let cell_bytes = target.cell_type.size_bytes() as u64;
+        let mut out = MDArray::zeros(target.region.clone(), target.cell_type);
+        self.visit_target(lane, &target, batched, &mut |clip, src| {
+            self.metrics
+                .bytes_copied
+                .add(clip.cell_count() * cell_bytes);
+            copy_region(src, &mut out, clip)
         })?;
-        let mut out = MDArray::zeros(target.clone(), meta.cell_type);
-        // Classify needed tiles: cached and DBMS-resident tiles patch in
-        // now, exported ones are grouped by super-tile.
-        let mut pending: BTreeMap<SuperTileId, Vec<TileId>> = BTreeMap::new();
-        for tid in meta.tiles_intersecting(&target) {
+        Ok(out)
+    }
+
+    /// Visit `region` of `oid` across the whole hierarchy, charging
+    /// overlappable work to `lane` (the shared clock for the single
+    /// owner, a session's private lane otherwise): `f(clip, tile)` once
+    /// per object tile that meets the region, in grid order (the
+    /// [`heaven_arraydb::TileProvider::visit_region`] contract). The
+    /// tertiary misses go through the cross-session batcher when
+    /// `batched`, else through the direct path (per-query scheduling,
+    /// sparse reads, prefetch).
+    pub(crate) fn visit_region_on(
+        &self,
+        lane: &SimClock,
+        oid: ObjectId,
+        region: &Minterval,
+        batched: bool,
+        f: &mut Visitor,
+    ) -> Result<()> {
+        let target = self.target_of(oid, region)?;
+        self.visit_target(lane, &target, batched, f)
+    }
+
+    /// The one assembly routine. Tiles are classified into grid-indexed
+    /// slots (tile-cache hits and DBMS tiles fill theirs at once;
+    /// exported ones are grouped by super-tile), the super-tiles are
+    /// staged and their members decoded into their slots, and only then
+    /// are the slots delivered in grid order. So the sequence `f` sees
+    /// does not depend on cache state, batching or the staging path.
+    fn visit_target(
+        &self,
+        lane: &SimClock,
+        target: &Target,
+        batched: bool,
+        f: &mut Visitor,
+    ) -> Result<()> {
+        self.metrics.region_fetches.inc();
+        let tids = &target.tiles;
+        let mut slots: Vec<Option<Arc<Tile>>> = vec![None; tids.len()];
+        let mut pending: Pending = BTreeMap::new();
+        for (i, &tid) in tids.iter().enumerate() {
             if let Some(t) = self.tile_cache.get(tid) {
-                self.patch(&mut out, &t.data)?;
+                slots[i] = Some(t);
                 continue;
             }
             let mut adb = self.adb.lock();
             match adb.tile_location(tid)? {
                 TileLocation::Disk => {
-                    let t = adb.read_tile(tid)?;
+                    let t = Arc::new(adb.read_tile(tid)?);
                     drop(adb);
-                    self.patch(&mut out, &t.data)?;
-                    self.tile_cache.put(t);
+                    self.tile_cache.put(Arc::clone(&t));
+                    slots[i] = Some(t);
                 }
                 TileLocation::Exported => {
                     drop(adb);
                     let st = self.catalog.supertile_of(tid)?;
-                    pending.entry(st).or_default().push(tid);
+                    pending.entry(st).or_default().push((i, tid));
                 }
             }
         }
         if batched {
             let sts: Vec<SuperTileId> = pending.keys().copied().collect();
             let payloads = self.stage_batched(lane, &sts)?;
-            for ((st, tids), payload) in pending.iter().zip(payloads) {
-                self.patch_members(&mut out, self.catalog.meta(*st)?, &payload, tids)?;
+            for ((st, members), payload) in pending.iter().zip(payloads) {
+                self.decode_members(self.catalog.meta(*st)?, &payload, members, &mut slots)?;
             }
         } else {
-            self.stage_direct(lane, &pending, &mut out)?;
-            self.run_prefetch(lane, oid, &pending)?;
+            self.stage_direct(lane, &pending, &mut slots)?;
+            self.run_prefetch(lane, target.oid, pending.keys().next_back().copied())?;
         }
-        Ok(out)
-    }
-
-    /// Patch `src` into `out`, recording the memcpy (the overlap region)
-    /// in the `heaven.bytes_copied` metric.
-    fn patch(&self, out: &mut MDArray, src: &MDArray) -> Result<()> {
-        if let Some(ov) = out.domain().intersection(src.domain()) {
-            self.metrics
-                .bytes_copied
-                .add(ov.cell_count() * out.cell_type().size_bytes() as u64);
+        for (slot, &tid) in slots.iter().zip(tids) {
+            let t = slot.as_ref().ok_or(HeavenError::TileUnlocated(tid))?;
+            visit_clip(&target.region, &t.data, f)?;
         }
-        out.patch(src)?;
         Ok(())
     }
 
-    /// Decode the member tiles `tids` of a staged super-tile, patch them
-    /// into `out` and cache them.
-    fn patch_members(
+    /// Decode the `members` of a staged super-tile into their slots and
+    /// cache them.
+    fn decode_members(
         &self,
-        out: &mut MDArray,
         meta: &SuperTileMeta,
         payload: &Bytes,
-        tids: &[TileId],
+        members: &[(usize, TileId)],
+        slots: &mut [Option<Arc<Tile>>],
     ) -> Result<()> {
-        for &tid in tids {
-            let t = decode_member(meta, payload, tid)?;
-            self.patch(out, &t.data)?;
-            self.tile_cache.put(t);
+        for &(i, tid) in members {
+            let t = Arc::new(decode_member(meta, payload, tid)?);
+            self.tile_cache.put(Arc::clone(&t));
+            slots[i] = Some(t);
         }
         Ok(())
     }
 
     /// The direct path: stage one query's super-tiles — cached ones
-    /// first, then the tape misses in the scheduler's order — and patch
-    /// their member tiles into `out`.
+    /// first, then the tape misses in the scheduler's order — and decode
+    /// their member tiles into `slots`.
     fn stage_direct(
         &self,
         lane: &SimClock,
-        pending: &BTreeMap<SuperTileId, Vec<TileId>>,
-        out: &mut MDArray,
+        pending: &Pending,
+        slots: &mut [Option<Arc<Tile>>],
     ) -> Result<()> {
         if pending.is_empty() {
             return Ok(());
@@ -1003,20 +1064,20 @@ impl ConcurrentHeaven {
         };
         for st in ordered {
             let meta = self.catalog.meta(st)?;
-            let tids = &pending[&st];
+            let members = &pending[&st];
             // On random-access media (MO jukeboxes) a sparse request reads
             // only the member tiles, not the whole super-tile — the medium
             // has no locate penalty to amortize (paper §2.2).
-            let needed_bytes: u64 = tids
+            let needed_bytes: u64 = members
                 .iter()
-                .filter_map(|t| meta.member(*t))
+                .filter_map(|&(_, t)| meta.member(t))
                 .map(|m| m.len)
                 .sum();
             if random_access && !self.st_cache.contains(st) && needed_bytes * 2 < meta.total_len {
-                self.read_sparse(lane, meta, tids, needed_bytes, out)?;
+                self.read_sparse(lane, meta, members, needed_bytes, slots)?;
             } else {
                 let payload = self.supertile_payload(lane, st)?;
-                self.patch_members(out, meta, &payload, tids)?;
+                self.decode_members(meta, &payload, members, slots)?;
             }
         }
         Ok(())
@@ -1050,16 +1111,16 @@ impl ConcurrentHeaven {
         );
     }
 
-    /// Read only the member tiles `tids` of super-tile `meta` (random-
-    /// access media), patch them into `out` and cache them. Counts as one
+    /// Read only the `members` of super-tile `meta` (random-access
+    /// media), decode them into their slots and cache them. Counts as one
     /// tertiary fetch of the member bytes; nothing enters the disk cache.
     fn read_sparse(
         &self,
         lane: &SimClock,
         meta: &SuperTileMeta,
-        tids: &[TileId],
+        members: &[(usize, TileId)],
         needed_bytes: u64,
-        out: &mut MDArray,
+        slots: &mut [Option<Arc<Tile>>],
     ) -> Result<()> {
         let addr = self.catalog.address(meta.id)?;
         let span = self.bus.span(
@@ -1072,24 +1133,25 @@ impl ConcurrentHeaven {
                 ("sparse", 1u64.into()),
             ],
         );
-        let (members, dt) = {
+        let (payloads, dt) = {
             let mut store = self.store.lock();
             let t0 = store.clock().now_s();
-            let members = tids
+            let bytes = members
                 .iter()
-                .map(|&tid| {
+                .map(|&(_, tid)| {
                     let m = meta.member(tid).ok_or(HeavenError::TileUnlocated(tid))?;
                     Ok(store.read_range(addr, m.offset, m.len)?)
                 })
                 .collect::<Result<Vec<Bytes>>>()?;
             let t1 = store.clock().now_s();
             lane.advance_to_s(t1);
-            (members, t1 - t0)
+            (bytes, t1 - t0)
         };
-        for bytes in members {
-            let (t, _) = Tile::decode_shared(&bytes, 0).map_err(HeavenError::Array)?;
-            self.patch(out, &t.data)?;
-            self.tile_cache.put(t);
+        for (bytes, &(i, _)) in payloads.iter().zip(members) {
+            let (t, _) = Tile::decode_shared(bytes, 0).map_err(HeavenError::Array)?;
+            let t = Arc::new(t);
+            self.tile_cache.put(Arc::clone(&t));
+            slots[i] = Some(t);
         }
         self.metrics.note_tape_fetch(needed_bytes, dt);
         span.end(lane.now_s());
@@ -1191,19 +1253,20 @@ impl ConcurrentHeaven {
         Ok(payload)
     }
 
-    /// Prefetch successor super-tiles in cluster order (paper §3.6).
+    /// Prefetch the successors of the query's last super-tile
+    /// `max_touched` in cluster order (paper §3.6).
     /// Best-effort: a super-tile that can't be staged now simply stays
     /// on tape for the demand path to recover.
     fn run_prefetch(
         &self,
         lane: &SimClock,
         oid: ObjectId,
-        touched: &BTreeMap<SuperTileId, Vec<TileId>>,
+        max_touched: Option<SuperTileId>,
     ) -> Result<()> {
         let PrefetchPolicy::NextInOrder(n) = self.config.prefetch else {
             return Ok(());
         };
-        let Some((&max_touched, _)) = touched.last_key_value() else {
+        let Some(max_touched) = max_touched else {
             return Ok(());
         };
         let order = self.catalog.object_supertiles(oid);

@@ -17,6 +17,7 @@ use crate::system::Heaven;
 use bytes::Bytes;
 use heaven_array::{MDArray, ObjectId};
 use heaven_tape::{MediumId, WritePayload};
+use std::collections::HashMap;
 
 impl Heaven {
     /// Dead bytes on a medium: bytes written minus the live copies the
@@ -135,10 +136,15 @@ impl Heaven {
 
     /// Disaster recovery: rebuild the super-tile catalog by *scanning the
     /// media themselves*. Super-tile blocks are self-describing (a run of
-    /// tile records); segments that do not parse (foreign files, dead
-    /// versions of updated blocks) are skipped. Every recovered block is
-    /// re-registered (including write-through persistence) and its tiles
-    /// marked exported. Returns the number of super-tiles recovered.
+    /// tile records); segments that do not parse (foreign files) are
+    /// skipped. A segment whose object, member directory and checksum
+    /// equal an earlier-scanned copy on another medium is that copy's
+    /// replica (dual-copy archival writes the same wire bytes twice). The
+    /// recovered super-tiles are then registered in scan order of their
+    /// first copies, a later version of a tile superseding an earlier one
+    /// (updates append new blocks after the originals), with write-through
+    /// persistence; their tiles are marked exported. Returns the number of
+    /// super-tiles recovered.
     ///
     /// This is the last resort when both the in-memory catalog and its
     /// persisted tables are gone; a full archive scan costs real tape time
@@ -149,9 +155,8 @@ impl Heaven {
             .clear(self.engine.adb.get_mut().database_mut())?;
         self.clear_caches();
         let media = self.store_mut().library().media_ids();
-        let mut recovered = 0usize;
-        let mut live_tiles: std::collections::HashMap<u64, crate::supertile::SuperTileId> =
-            Default::default();
+        let mut found: Vec<CatalogEntry> = Vec::new();
+        let mut by_checksum: HashMap<u64, Vec<usize>> = HashMap::new();
         for medium in media {
             let segments = self.store_mut().library().medium_segments(medium)?;
             for (offset, len) in segments {
@@ -161,53 +166,62 @@ impl Heaven {
                 else {
                     continue;
                 };
-                let st = self.engine.catalog.next_id();
-                let meta = SuperTileMeta {
-                    id: st,
-                    object,
-                    total_len: payload.len() as u64,
-                    members,
-                };
-                // Later versions of a tile supersede earlier ones (updates
-                // append new blocks after the originals in tape order).
-                for m in &meta.members {
-                    if let Some(old_st) = live_tiles.insert(m.tile, st) {
-                        if old_st != st {
-                            // the older block is (partially) dead; drop it
-                            // entirely if every member was superseded
-                            let all_dead = self
-                                .catalog
-                                .meta(old_st)
-                                .map(|om| {
-                                    om.members
-                                        .iter()
-                                        .all(|om| live_tiles.get(&om.tile) != Some(&old_st))
-                                })
-                                .unwrap_or(false);
-                            if all_dead {
-                                let _ = self.unregister_supertile(old_st);
-                                recovered -= 1;
-                            }
-                        }
-                    }
-                }
                 let addr = heaven_hsm::BlockAddress {
                     medium,
                     offset,
                     len,
                 };
-                // A scavenged block has no known second copy: replica
-                // pairing lives only in the (lost) catalog. A replica
-                // segment parses like its primary and simply supersedes
-                // it in tape order, so redundancy degrades to one copy.
-                self.register_supertile(CatalogEntry {
-                    meta,
+                let twins = by_checksum.entry(checksum).or_default();
+                let primary = twins.iter().copied().find(|&i| {
+                    let e = &found[i];
+                    e.replica.is_none()
+                        && e.addr.medium != medium
+                        && e.meta.object == object
+                        && e.meta.members == members
+                });
+                if let Some(i) = primary {
+                    found[i].replica = Some(addr);
+                    continue;
+                }
+                twins.push(found.len());
+                found.push(CatalogEntry {
+                    meta: SuperTileMeta {
+                        id: self.engine.catalog.next_id(),
+                        object,
+                        total_len: payload.len() as u64,
+                        members,
+                    },
                     addr,
                     replica: None,
                     checksum,
-                })?;
-                recovered += 1;
+                });
             }
+        }
+        let mut recovered = 0usize;
+        let mut live_tiles: HashMap<u64, crate::supertile::SuperTileId> = HashMap::new();
+        for entry in found {
+            let st = entry.meta.id;
+            for m in &entry.meta.members {
+                if let Some(old_st) = live_tiles.insert(m.tile, st) {
+                    // the older block is (partially) dead; drop it
+                    // entirely if every member was superseded
+                    let all_dead = self
+                        .catalog
+                        .meta(old_st)
+                        .map(|om| {
+                            om.members
+                                .iter()
+                                .all(|om| live_tiles.get(&om.tile) != Some(&old_st))
+                        })
+                        .unwrap_or(false);
+                    if all_dead {
+                        self.unregister_supertile(old_st)?;
+                        recovered -= 1;
+                    }
+                }
+            }
+            self.register_supertile(entry)?;
+            recovered += 1;
         }
         // Tiles found on media are exported (drop any stale disk copies).
         for (&tile, _) in live_tiles.iter() {

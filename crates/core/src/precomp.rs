@@ -30,8 +30,10 @@ pub struct PrecompStats {
 /// The precomputed-result catalog.
 #[derive(Debug, Default)]
 pub struct PrecompCatalog {
-    /// Exact results of past queries.
-    exact: HashMap<(ObjectId, Condenser, Minterval), f64>,
+    /// Exact results of past queries: `(oid, op) → region → value`,
+    /// keyed per object so a lookup probes by `&Minterval` and an
+    /// invalidation drops whole maps.
+    exact: HashMap<(ObjectId, Condenser), HashMap<Minterval, f64>>,
     /// Per-tile partials: `(oid, op) → tile → (value, cell_count)`.
     tile_partials: HashMap<(ObjectId, Condenser), HashMap<TileId, (f64, u64)>>,
     stats: PrecompStats,
@@ -50,12 +52,15 @@ impl PrecompCatalog {
 
     /// Number of exact entries.
     pub fn exact_len(&self) -> usize {
-        self.exact.len()
+        self.exact.values().map(HashMap::len).sum()
     }
 
     /// Remember an exact result.
     pub fn record_exact(&mut self, oid: ObjectId, op: Condenser, region: Minterval, value: f64) {
-        self.exact.insert((oid, op, region), value);
+        self.exact
+            .entry((oid, op))
+            .or_default()
+            .insert(region, value);
     }
 
     /// Remember a tile's partial aggregate.
@@ -79,14 +84,14 @@ impl PrecompCatalog {
     /// whole tiles of `meta` with recorded partials.
     pub fn lookup(&mut self, meta: &ObjectMeta, op: Condenser, region: &Minterval) -> Option<f64> {
         let oid = meta.oid;
-        if let Some(&v) = self.exact.get(&(oid, op, region.clone())) {
+        if let Some(&v) = self.exact.get(&(oid, op)).and_then(|m| m.get(region)) {
             self.stats.exact_hits += 1;
             return Some(v);
         }
         if let Some(v) = self.try_combine(meta, op, region) {
             self.stats.combine_hits += 1;
             // promote to an exact entry for next time
-            self.exact.insert((oid, op, region.clone()), v);
+            self.record_exact(oid, op, region.clone(), v);
             return Some(v);
         }
         self.stats.misses += 1;
@@ -116,8 +121,10 @@ impl PrecompCatalog {
     /// Drop everything recorded for an object (delete/update invalidation,
     /// §3.6).
     pub fn invalidate_object(&mut self, oid: ObjectId) {
-        self.exact.retain(|&(o, _, _), _| o != oid);
-        self.tile_partials.retain(|&(o, _), _| o != oid);
+        for op in Condenser::ALL {
+            self.exact.remove(&(oid, op));
+            self.tile_partials.remove(&(oid, op));
+        }
     }
 }
 

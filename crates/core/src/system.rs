@@ -25,10 +25,10 @@ use crate::scheduler::{schedule, FetchRequest};
 use crate::supertile::SuperTileId;
 use bytes::Bytes;
 use heaven_array::{Codec, Condenser, MDArray, Minterval, ObjectId};
-use heaven_arraydb::{ArrayDb, ObjectMeta, TileLocation, TileProvider};
+use heaven_arraydb::{ArrayDb, ObjectMeta, TileLocation, TileProvider, Visitor};
 use heaven_hsm::{BlockAddress, DirectStore};
 use heaven_obs::{Field, QueryBreakdown, SpanId};
-use heaven_tape::{TapeLibrary, TapeStats};
+use heaven_tape::{SimClock, TapeLibrary, TapeStats};
 use std::fmt;
 use std::ops::Deref;
 
@@ -47,10 +47,10 @@ pub struct HeavenStats {
     pub prefetch_bytes: u64,
     /// Regions served by `fetch_region`.
     pub region_fetches: u64,
-    /// Payload bytes memcpy'd while materializing query results. With the
-    /// zero-copy read path this is ~one payload-sized copy per query (the
-    /// patch into the result array); every other hierarchy hop is a
-    /// refcounted slice.
+    /// Payload bytes memcpy'd by the engine: the one copy of each tile
+    /// clip into a `fetch_region` result, plus encoded codec output.
+    /// Every other hierarchy hop is a refcounted slice, and a region
+    /// visit (the condenser path) copies nothing.
     pub bytes_copied: u64,
 }
 
@@ -377,8 +377,35 @@ impl Heaven {
         oid: ObjectId,
         region: &Minterval,
     ) -> Result<MDArray> {
-        // Direct API calls (no surrounding query) still get a breakdown:
-        // bracket this fetch as its own query.
+        self.bracketed(oid, region, |engine, clock| {
+            engine.fetch_region_on(clock, oid, region, false)
+        })
+    }
+
+    /// Visit `region` of `oid` across the whole hierarchy tile piece by
+    /// tile piece, in grid order, without assembling it (the
+    /// [`TileProvider::visit_region`] contract): the condenser path.
+    pub fn visit_region_hierarchical(
+        &mut self,
+        oid: ObjectId,
+        region: &Minterval,
+        f: &mut Visitor,
+    ) -> Result<()> {
+        self.bracketed(oid, region, |engine, clock| {
+            engine.visit_region_on(clock, oid, region, false, f)
+        })
+    }
+
+    /// Run one region access on the shared clock inside a
+    /// `heaven.fetch_region` span. Direct API calls (no surrounding
+    /// query) still get a breakdown: the access is bracketed as its own
+    /// query.
+    fn bracketed<T>(
+        &mut self,
+        oid: ObjectId,
+        region: &Minterval,
+        run: impl FnOnce(&ConcurrentHeaven, &SimClock) -> Result<T>,
+    ) -> Result<T> {
         let auto_bracket = self.active_query.is_none();
         if auto_bracket {
             self.begin_query(&format!("fetch_region oid={oid} {region}"));
@@ -395,7 +422,7 @@ impl Heaven {
             clock.now_s(),
             &[("oid", oid.into()), ("region", region_field)],
         );
-        let result = self.engine.fetch_region_on(&clock, oid, region, false);
+        let result = run(&self.engine, &clock);
         span.end(clock.now_s());
         if auto_bracket {
             self.end_query();
@@ -484,6 +511,16 @@ impl TileProvider for Heaven {
         region: &Minterval,
     ) -> heaven_arraydb::Result<MDArray> {
         self.fetch_region_hierarchical(oid, region)
+            .map_err(Into::into)
+    }
+
+    fn visit_region(
+        &mut self,
+        oid: ObjectId,
+        region: &Minterval,
+        f: &mut Visitor,
+    ) -> heaven_arraydb::Result<()> {
+        self.visit_region_hierarchical(oid, region, f)
             .map_err(Into::into)
     }
 

@@ -9,14 +9,20 @@
 //! striping through the single owner (single fetches and batches) and
 //! through one or four sessions (batched and FIFO), and checks every
 //! answer against `ArrayDb::read_subarray` on a never-exported twin.
+//!
+//! The condenser oracle runs every condenser over every cell type through
+//! RasQL and requires HEAVEN's folds to equal the twin's bit for bit,
+//! whichever level serves each tile piece.
 
-use heaven_array::{CellType, MDArray, Minterval, Point, Tile, Tiling};
-use heaven_arraydb::ArrayDb;
+use heaven_array::{CellType, Condenser, MDArray, Minterval, ObjectId, Point, Tile, Tiling};
+use heaven_arraydb::{ArrayDb, ObjectMeta, TileProvider};
 use heaven_core::{EvictionPolicy, ExportMode, Heaven, HeavenConfig, HeavenError, PrefetchPolicy};
 use heaven_obs::MetricValue;
 use heaven_rdbms::Database;
 use heaven_tape::{DeviceProfile, DiskProfile, FaultConfig, SimClock, TapeLibrary};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const TILE_EDGE: i64 = 16;
 const GRID: i64 = 2;
@@ -478,4 +484,186 @@ fn matrix_four_fifo_sessions_match_ground_truth() {
         threads: 4,
         batched: false,
     });
+}
+
+/// The condenser oracle's object: `ORACLE_GRID` x `ORACLE_GRID` tiles of
+/// `ORACLE_EDGE` cells, four tiles per super-tile (eight on random-access
+/// media, so that member-only reads fetch several members).
+const ORACLE_EDGE: i64 = 8;
+const ORACLE_GRID: i64 = 4;
+
+const CELL_TYPES: [CellType; 5] = [
+    CellType::U8,
+    CellType::I16,
+    CellType::I32,
+    CellType::F32,
+    CellType::F64,
+];
+
+/// Where a HEAVEN variant of the oracle finds its tile pieces.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// Not exported: DBMS tiles, then tile-cache hits.
+    Dbms,
+    /// Exported and read once whole: tile-cache hits.
+    Warm,
+    /// Exported, caches cleared before every query: tape.
+    Cold,
+    /// As `Cold`, with the adaptive codec on.
+    Compressed,
+    /// Exported, a 4-tile memory and a 2-super-tile disk cache: pieces
+    /// from memory, disk and tape within one query.
+    SmallCaches,
+    /// Exported to random-access media, caches cleared before every
+    /// query: member-only (sparse) reads.
+    Sparse,
+}
+
+const SOURCES: [Source; 6] = [
+    Source::Dbms,
+    Source::Warm,
+    Source::Cold,
+    Source::Compressed,
+    Source::SmallCaches,
+    Source::Sparse,
+];
+
+/// Cell values with zeros, negatives and (for the float types)
+/// non-integers, so sums depend on the order of their additions.
+fn oracle_value(ty: CellType, p: &Point) -> f64 {
+    let k = ((p.coord(0) * 37 + p.coord(1) * 11) % 251) as f64;
+    match ty {
+        CellType::U8 => k,
+        CellType::I16 => (k - 125.0) * 100.0,
+        CellType::I32 => (k - 125.0) * 1_000_003.0,
+        CellType::F32 => (k - 125.0) / 3.0,
+        CellType::F64 => (k - 125.0) / 7.0 + 0.1,
+    }
+}
+
+/// A fresh DBMS holding the oracle object of cell type `ty`.
+fn oracle_db(ty: CellType, clock: SimClock) -> ArrayDb {
+    let db = Database::new(DiskProfile::scsi2003(), clock, 4096);
+    let mut adb = ArrayDb::create(db).unwrap();
+    adb.create_collection("o", ty, 2).unwrap();
+    let edge = ORACLE_GRID * ORACLE_EDGE;
+    let arr = MDArray::generate(mi(&[(0, edge - 1), (0, edge - 1)]), ty, |p| {
+        oracle_value(ty, p)
+    });
+    let tiling = Tiling::Regular {
+        tile_shape: vec![ORACLE_EDGE as u64, ORACLE_EDGE as u64],
+    };
+    adb.insert_object("o", &arr, tiling).unwrap();
+    adb
+}
+
+/// The HEAVEN variant of the oracle object for `source`.
+fn oracle_heaven(ty: CellType, source: Source) -> Heaven {
+    let clock = SimClock::new();
+    let adb = oracle_db(ty, clock.clone());
+    let oid = adb.collection("o").unwrap().objects[0];
+    let tile_cells = (ORACLE_EDGE * ORACLE_EDGE) as u64 * ty.size_bytes() as u64;
+    let tile_encoded = Tile::header_len(2) as u64 + tile_cells;
+    let per_supertile = if matches!(source, Source::Sparse) {
+        8
+    } else {
+        4
+    };
+    let mut config = HeavenConfig {
+        supertile_bytes: Some(per_supertile * tile_encoded),
+        compress: matches!(source, Source::Compressed),
+        ..HeavenConfig::default()
+    };
+    if matches!(source, Source::SmallCaches) {
+        config.mem_cache_bytes = 4 * tile_cells;
+        config.disk_cache_bytes = 2 * 4 * tile_encoded;
+    }
+    let profile = match source {
+        Source::Sparse => DeviceProfile::mo_disk(),
+        _ => DeviceProfile::ibm3590(),
+    };
+    let mut heaven = Heaven::new(adb, TapeLibrary::new(profile, 2, clock), config);
+    if !matches!(source, Source::Dbms) {
+        heaven.export_object(oid, ExportMode::Tct).unwrap();
+    }
+    if matches!(source, Source::Warm) {
+        let dom = heaven.arraydb().object(oid).unwrap().domain.clone();
+        heaven.fetch_region_hierarchical(oid, &dom).unwrap();
+    }
+    heaven
+}
+
+/// A provider that implements only `fetch_region`, so the executor runs
+/// on the default visitor.
+struct FetchOnly<'a>(&'a mut ArrayDb);
+
+impl TileProvider for FetchOnly<'_> {
+    fn object_meta(&self, oid: ObjectId) -> heaven_arraydb::Result<ObjectMeta> {
+        self.0.object_meta(oid)
+    }
+
+    fn collection_objects(&self, name: &str) -> heaven_arraydb::Result<Vec<ObjectId>> {
+        self.0.collection_objects(name)
+    }
+
+    fn fetch_region(
+        &mut self,
+        oid: ObjectId,
+        region: &Minterval,
+    ) -> heaven_arraydb::Result<MDArray> {
+        self.0.fetch_region(oid, region)
+    }
+}
+
+/// The condenser's value over `region` as bits.
+fn condense_bits(p: &mut dyn TileProvider, op: Condenser, region: &Minterval) -> u64 {
+    let q = format!(
+        "select {}(o[{}:{}, {}:{}]) from o",
+        op.name(),
+        region.axis(0).lo,
+        region.axis(0).hi,
+        region.axis(1).lo,
+        region.axis(1).hi
+    );
+    let rs = heaven_arraydb::run(p, &q).unwrap();
+    rs[0].value.as_scalar().unwrap().to_bits()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every condenser over every cell type and random regions folds to
+    /// the same bits on `ArrayDb`, on a provider running the default
+    /// visitor, and on HEAVEN whichever level serves the pieces.
+    #[test]
+    fn condensers_fold_to_the_same_bits_everywhere(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let last = ORACLE_GRID * ORACLE_EDGE - 1;
+        let regions: Vec<Minterval> = (0..4)
+            .map(|_| {
+                let (x, y) = (rng.gen_range(0..=last), rng.gen_range(0..=last));
+                let (w, h) = (rng.gen_range(0..=last - x), rng.gen_range(0..=last - y));
+                mi(&[(x, x + w), (y, y + h)])
+            })
+            .collect();
+        for ty in CELL_TYPES {
+            let mut twin = oracle_db(ty, SimClock::new());
+            let mut variants: Vec<(Source, Heaven)> =
+                SOURCES.iter().map(|&s| (s, oracle_heaven(ty, s))).collect();
+            for region in &regions {
+                for op in Condenser::ALL {
+                    let want = condense_bits(&mut twin, op, region);
+                    let default_visitor = condense_bits(&mut FetchOnly(&mut twin), op, region);
+                    prop_assert_eq!(default_visitor, want, "{:?} {:?} {}: default visitor", ty, op, region);
+                    for (source, heaven) in &mut variants {
+                        if matches!(source, Source::Cold | Source::Compressed | Source::Sparse) {
+                            heaven.clear_caches();
+                        }
+                        let got = condense_bits(heaven, op, region);
+                        prop_assert_eq!(got, want, "{:?} {:?} {} from {:?}", ty, op, region, source);
+                    }
+                }
+            }
+        }
+    }
 }

@@ -365,6 +365,16 @@ fn dead_per_medium(heaven: &Heaven) -> Vec<(MediumId, u64)> {
         .collect()
 }
 
+/// Erase `medium` and overwrite it with as many foreign bytes.
+fn recycle_medium(heaven: &Heaven, medium: MediumId) {
+    let mut store = heaven.store();
+    let lib = store.library_mut();
+    let used = lib.medium_used(medium).unwrap();
+    lib.erase_medium(medium).unwrap();
+    lib.write(medium, WritePayload::real(vec![0xA5u8; used as usize]))
+        .unwrap();
+}
+
 #[test]
 fn reclaiming_a_replica_medium_keeps_its_live_replicas() {
     let (mut heaven, oid, oid2) = two_exported_objects(HeavenConfig {
@@ -394,19 +404,9 @@ fn reclaiming_a_replica_medium_keeps_its_live_replicas() {
         }
     }
 
-    // Recycle the primary medium (erased, then overwritten with foreign
-    // bytes): every read must fail over to the relocated replicas.
-    {
-        let mut store = heaven.store();
-        let lib = store.library_mut();
-        let used = lib.medium_used(primary_medium).unwrap();
-        lib.erase_medium(primary_medium).unwrap();
-        lib.write(
-            primary_medium,
-            WritePayload::real(vec![0xA5u8; used as usize]),
-        )
-        .unwrap();
-    }
+    // Recycle the primary medium: every read must fail over to the
+    // relocated replicas.
+    recycle_medium(&heaven, primary_medium);
     heaven.clear_caches();
     let failures_before = heaven.metrics().counter("hsm.checksum_failures").get();
     let sub = heaven
@@ -437,8 +437,8 @@ fn dual_copy_dead_space_counts_every_copy_and_survives_rebuilds() {
     assert_eq!(dead, expected_dead(&heaven));
     heaven.rebuild_archive_catalog().unwrap();
     assert_eq!(dead_per_medium(&heaven), dead);
-    // A media scan re-registers what it finds (replicas supersede their
-    // primaries in tape order); dead space follows the new catalog.
+    // A media scan re-registers what it finds, each replica paired with
+    // its primary; dead space follows the new catalog.
     heaven.scavenge_catalog_from_media().unwrap();
     assert_eq!(dead_per_medium(&heaven), expected_dead(&heaven));
     heaven.clear_caches();
@@ -449,6 +449,50 @@ fn dual_copy_dead_space_counts_every_copy_and_survives_rebuilds() {
     assert_eq!(
         sub.get_f64(&Point::new(vec![9, 9])).unwrap(),
         value_at(&Point::new(vec![9, 9]))
+    );
+}
+
+#[test]
+fn media_scan_keeps_both_copies_of_a_dual_copy_archive() {
+    let (mut heaven, oid) = setup(HeavenConfig {
+        dual_copy: true,
+        ..small_st_config()
+    });
+    heaven.export_object(oid, ExportMode::Tct).unwrap();
+    let dead = dead_per_medium(&heaven);
+    assert!(
+        dead.len() == 2 && dead.iter().all(|&(_, d)| d == 0),
+        "{dead:?}"
+    );
+    let supertiles = heaven.catalog().len();
+    heaven.scavenge_catalog_from_media().unwrap();
+    assert_eq!(dead_per_medium(&heaven), dead, "the scan moved dead space");
+    assert_eq!(heaven.catalog().len(), supertiles);
+    let sts = heaven.catalog().object_supertiles(oid);
+    for &st in &sts {
+        let e = heaven.catalog().entry(st).unwrap();
+        assert!(
+            e.replica.is_some_and(|r| r.medium != e.addr.medium),
+            "super-tile {st} lost its second copy: {e:?}"
+        );
+    }
+    // Recycle the medium of the first primary: every super-tile whose
+    // primary was there is served by the replica the scan paired it with.
+    let primary_medium = heaven.catalog().address(sts[0]).unwrap().medium;
+    let on_primary = sts
+        .iter()
+        .filter(|&&st| heaven.catalog().address(st).unwrap().medium == primary_medium)
+        .count() as u64;
+    recycle_medium(&heaven, primary_medium);
+    heaven.clear_caches();
+    let failures_before = heaven.metrics().counter("hsm.checksum_failures").get();
+    let whole = mi(&[(0, 59), (0, 59)]);
+    let back = heaven.fetch_region_hierarchical(oid, &whole).unwrap();
+    assert_eq!(back, MDArray::generate(whole, CellType::I32, value_at));
+    assert_eq!(
+        heaven.metrics().counter("hsm.checksum_failures").get() - failures_before,
+        on_primary,
+        "every super-tile on the recycled medium was served by its replica"
     );
 }
 

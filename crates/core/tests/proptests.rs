@@ -442,9 +442,9 @@ proptest! {
 
     /// After every maintenance step, under dual copy and compression on
     /// or off: every catalogued copy is on its medium, dead space equals
-    /// used bytes minus the catalogued copies (and a catalog rebuild
-    /// leaves it unchanged), and every live object reads back equal to
-    /// its mirror.
+    /// used bytes minus the catalogued copies (and neither a catalog
+    /// rebuild nor a media scan changes it), and every live object reads
+    /// back equal to its mirror.
     #[test]
     fn maintenance_keeps_catalog_media_and_dead_space_in_step(
         dual_copy in any::<bool>(),
@@ -452,6 +452,10 @@ proptest! {
         ops in prop::collection::vec(maint_op(), 1..12),
     ) {
         let (mut heaven, mut mirror) = maint_system(dual_copy, compress);
+        // A media scan rebuilds the catalog from what the media hold, so
+        // it cannot know of deletions or re-imports (no tombstones): it
+        // runs only on histories without them.
+        let mut scannable = true;
         for op in ops {
             if mirror.is_empty() {
                 break;
@@ -481,11 +485,13 @@ proptest! {
                 MaintOp::Delete { obj } => {
                     let (oid, _) = mirror.remove(obj % mirror.len());
                     heaven.delete_object(oid).unwrap();
+                    scannable = false;
                 }
                 MaintOp::Reimport { obj } => {
                     let oid = mirror[obj % mirror.len()].0;
                     match heaven.reimport_object(oid) {
-                        Ok(()) | Err(HeavenError::NotExported(_)) => {}
+                        Ok(()) => scannable = false,
+                        Err(HeavenError::NotExported(_)) => {}
                         Err(e) => panic!("reimport {oid}: {e}"),
                     }
                 }
@@ -500,6 +506,13 @@ proptest! {
                     let before = dead_on_media(&heaven);
                     heaven.rebuild_archive_catalog().unwrap();
                     prop_assert_eq!(dead_on_media(&heaven), before, "rebuild moved dead space");
+                }
+                MaintOp::Scan => {
+                    if scannable {
+                        let before = dead_on_media(&heaven);
+                        heaven.scavenge_catalog_from_media().unwrap();
+                        prop_assert_eq!(dead_on_media(&heaven), before, "media scan moved dead space");
+                    }
                 }
             }
             prop_assert_eq!(dead_on_media(&heaven), maint_dead(&heaven, &mirror));
@@ -537,16 +550,17 @@ enum MaintOp {
         threshold: f64,
     },
     Rebuild,
+    Scan,
 }
 
 /// Reclaim thresholds: always, a little, half, almost all dead.
 const RECLAIM_THRESHOLDS: [f64; 4] = [0.0, 0.1, 0.5, 0.9];
 
-/// Exports and updates three times as likely as deletes, re-imports and
-/// rebuilds, reclaims twice as likely.
+/// Exports and updates three times as likely as deletes, re-imports,
+/// rebuilds and media scans, reclaims twice as likely.
 fn maint_op() -> impl Strategy<Value = MaintOp> {
     (
-        0u8..11,
+        0u8..12,
         0usize..8,
         (0i64..20, 0i64..20),
         (1i64..12, 1i64..12),
@@ -569,7 +583,8 @@ fn maint_op() -> impl Strategy<Value = MaintOp> {
                 medium: n,
                 threshold: RECLAIM_THRESHOLDS[lo.0 as usize % RECLAIM_THRESHOLDS.len()],
             },
-            _ => MaintOp::Rebuild,
+            10 => MaintOp::Rebuild,
+            _ => MaintOp::Scan,
         })
 }
 

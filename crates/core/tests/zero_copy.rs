@@ -91,3 +91,29 @@ fn bytes_copied_is_visible_in_the_metrics_registry() {
     assert_eq!(v, heaven.stats().bytes_copied);
     assert!(v >= 10 * 10 * 4, "at least the patched region was counted");
 }
+
+#[test]
+fn warm_plain_trim_condenser_copies_nothing() {
+    let (mut heaven, oid) = setup();
+    heaven.export_object(oid, ExportMode::Tct).unwrap();
+    let region = mi(&[(5, 34), (3, 36)]);
+    let whole = heaven.fetch_region_hierarchical(oid, &region).unwrap();
+    // Warm: the super-tile is staged. The condenser folds every tile
+    // piece where it lies instead of assembling the region.
+    let rs = heaven_arraydb::run(
+        &mut heaven,
+        "select add_cells(climate[5:34, 3:36]) from climate",
+    )
+    .unwrap();
+    assert_eq!(rs[0].value.as_scalar().unwrap(), whole.sum());
+    let b = heaven.last_query_breakdown().unwrap();
+    assert_eq!(
+        b.bytes_copied, 0,
+        "a condenser must not assemble its region"
+    );
+    assert!(
+        b.disk_cache_hits > 0,
+        "the pieces came from the staged super-tile"
+    );
+    assert_eq!(b.tape_fetches, 0);
+}

@@ -127,11 +127,12 @@ if grep -n 'CellValue::read' crates/array/src/ops.rs; then
 fi
 
 echo "==> no per-point walks in region kernels"
-# Copy, slice, block folds and unaligned induced ops run on the row-run
-# walker (Minterval::row_runs); a point iterator or point_at in the
-# non-test code of mdd.rs/ops.rs brings back a Point and a division per
-# row. Each file's test module (its trailing #[cfg(test)] block) is exempt.
-for f in crates/array/src/mdd.rs crates/array/src/ops.rs; do
+# Copy, slice, block folds, condenser folds and induced ops run on the
+# row-run walker (Minterval::row_runs) or one typed pass; a point
+# iterator or point_at in the non-test code of mdd.rs/ops.rs or the query
+# executor brings back a Point and a division per row or cell. Each
+# file's test module (its trailing #[cfg(test)] block) is exempt.
+for f in crates/array/src/mdd.rs crates/array/src/ops.rs crates/arraydb/src/ql/exec.rs; do
   if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'iter_points(\|point_at('; then
     echo "per-point walk in $f: use Minterval::row_runs"
     exit 1
