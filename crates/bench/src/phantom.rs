@@ -9,8 +9,7 @@
 
 use heaven_array::{CellType, Minterval, Tile, TileId, Tiling};
 use heaven_core::{
-    count_exchanges, estar_partition, schedule, star_partition, ClusteringStrategy, FetchRequest,
-    TileInfo,
+    estar_partition, fetch_order, star_partition, ClusteringStrategy, FetchRequest, TileInfo,
 };
 use heaven_hsm::{BlockAddress, DirectStore};
 use heaven_obs::{MetricsRegistry, TraceBus};
@@ -206,17 +205,8 @@ impl PhantomArchive {
         query: &Minterval,
         scheduled: bool,
     ) -> (f64, u64, usize) {
-        let reqs: Vec<FetchRequest> = {
-            let o = &self.objects[obj];
-            o.groups_touching(query)
-                .into_iter()
-                .map(|gi| FetchRequest {
-                    st: (obj * 1_000_000 + gi) as u64,
-                    addr: o.addrs[gi],
-                })
-                .collect()
-        };
-        self.execute(reqs, scheduled)
+        let reqs = self.fetch_requests(obj, query);
+        self.execute(&reqs, scheduled)
     }
 
     /// Execute a batch of `(object, query)` pairs as one scheduling unit.
@@ -225,50 +215,17 @@ impl PhantomArchive {
         batch: &[(usize, Minterval)],
         scheduled: bool,
     ) -> (f64, u64, usize) {
-        let mut reqs = Vec::new();
-        for &(obj, ref q) in batch {
-            let o = &self.objects[obj];
-            for gi in o.groups_touching(q) {
-                reqs.push(FetchRequest {
-                    st: (obj * 1_000_000 + gi) as u64,
-                    addr: o.addrs[gi],
-                });
-            }
-        }
-        self.execute(reqs, scheduled)
+        let reqs: Vec<FetchRequest> = batch
+            .iter()
+            .flat_map(|(obj, q)| self.fetch_requests(*obj, q))
+            .collect();
+        self.execute(&reqs, scheduled)
     }
 
-    fn execute(&mut self, reqs: Vec<FetchRequest>, scheduled: bool) -> (f64, u64, usize) {
-        let order = if scheduled {
-            let mounted = self.store.library().mounted_media();
-            schedule(&reqs, &mounted)
-        } else {
-            // deduplicate but keep request order (unscheduled baseline)
-            let mut seen = std::collections::HashSet::new();
-            reqs.into_iter().filter(|r| seen.insert(r.st)).collect()
-        };
-        let clock = self.clock();
-        let t0 = clock.now_s();
-        let mut bytes = 0;
-        for r in &order {
-            self.store.read(r.addr).expect("phantom read");
-            bytes += r.addr.len;
-        }
-        (clock.now_s() - t0, bytes, order.len())
-    }
-
-    /// Predicted exchanges for a request order (no side effects).
-    pub fn predict_exchanges(&self, reqs: &[FetchRequest], scheduled: bool) -> u64 {
-        let order = if scheduled {
-            schedule(reqs, &self.store.library().mounted_media())
-        } else {
-            reqs.to_vec()
-        };
-        count_exchanges(
-            &order,
-            self.store.library().drive_count(),
-            &self.store.library().mounted_media(),
-        )
+    fn execute(&mut self, reqs: &[FetchRequest], scheduled: bool) -> (f64, u64, usize) {
+        let order = fetch_order(reqs, scheduled, &self.store.library().mounted_media());
+        let (dt, bytes) = self.execute_order(&order);
+        (dt, bytes, order.len())
     }
 }
 

@@ -12,17 +12,18 @@
 //! reaches it through `Deref`; [`Heaven::into_concurrent`] hands the
 //! engine out on its own.
 //!
-//! Every query goes through one assembly routine (classify tiles, stage
-//! super-tiles, decode, patch), and every tertiary payload — demand,
-//! batch, prefetch or drainer — enters the hierarchy through one
-//! admission step that counts the fetch, observes the fetch histograms,
-//! decompresses and caches. Two staging modes sit under the assembly:
+//! Every query, and every batch of queries, goes through one staging pass
+//! (plan the tiles into slots, stage the missed super-tiles once, deliver
+//! the slots in grid order), and every tertiary payload — demand, batch,
+//! prefetch or drainer — enters the hierarchy through one admission step
+//! that counts the fetch, observes the fetch histograms, decompresses and
+//! caches. Two staging modes sit under the pass:
 //!
 //! * **Direct** — the single owner's path, also taken by sessions with
-//!   [`HeavenConfig::cross_session_batching`] off: the query's misses are
-//!   scheduled per query (`heaven.schedule` event), read one super-tile
-//!   at a time (member-only reads on random-access media), and followed
-//!   by prefetch.
+//!   [`HeavenConfig::cross_session_batching`] off: the pass's misses are
+//!   ordered per pass (`heaven.schedule` event), read one super-tile at a
+//!   time (member-only reads on random-access media), and followed by
+//!   prefetch.
 //! * **Batched** — a session enqueues its query's whole super-tile miss
 //!   set ([`FetchRequest`]s) with the [`FetchBatcher`] in one call and
 //!   waits once, so a query costs at most one batching window however
@@ -73,7 +74,7 @@ use crate::catalog::SuperTileCatalog;
 use crate::config::{HeavenConfig, PrefetchPolicy};
 use crate::error::{HeavenError, Result};
 use crate::recovery::{read_with_recovery, RecoveryMetrics};
-use crate::scheduler::{count_exchanges, plan_drive_rounds, schedule, FetchRequest};
+use crate::scheduler::{count_exchanges, fetch_order, plan_drive_rounds, FetchRequest};
 use crate::sizing::optimal_supertile_size;
 use crate::supertile::{checksum64, decode_member, SuperTileId, SuperTileMeta};
 use crate::system::HeavenStats;
@@ -90,10 +91,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Exported tiles of one region visit still to stage, by super-tile:
-/// `(slot, tile)` pairs, the slot being the tile's grid index in the
-/// region.
-type Pending = BTreeMap<SuperTileId, Vec<(usize, TileId)>>;
+/// The exported misses of one staging pass.
+#[derive(Default)]
+struct Misses {
+    /// `(slot, tile)` pairs by super-tile, the slot being the tile's index
+    /// in the pass's slot vector. Sorted by tile, so a tile that several
+    /// targets miss forms one run (see [`tile_runs`]).
+    by_st: BTreeMap<SuperTileId, Vec<(usize, TileId)>>,
+    /// The missed super-tiles in the order the pass first needs them: the
+    /// arrival order of [`fetch_order`].
+    arrival: Vec<SuperTileId>,
+}
 
 /// What a region access needs of its object.
 struct Target {
@@ -103,6 +111,21 @@ struct Target {
     /// The object's tiles that meet `region`, in grid order.
     tiles: Vec<TileId>,
     cell_type: CellType,
+}
+
+/// Deliver a target's staged `slots` in grid order: `f(clip, tile)` once
+/// per tile that meets the region.
+fn deliver(target: &Target, slots: &[Option<Arc<Tile>>], f: &mut Visitor) -> Result<()> {
+    for (slot, &tid) in slots.iter().zip(&target.tiles) {
+        let t = slot.as_ref().ok_or(HeavenError::TileUnlocated(tid))?;
+        visit_clip(&target.region, &t.data, f)?;
+    }
+    Ok(())
+}
+
+/// A super-tile's members in runs of one tile each.
+fn tile_runs(members: &[(usize, TileId)]) -> impl Iterator<Item = &[(usize, TileId)]> {
+    members.chunk_by(|a, b| a.1 == b.1)
 }
 
 /// Metric handles of the whole retrieval path; the registry is the source
@@ -507,11 +530,7 @@ impl FetchBatcher {
             reqs.iter().map(|p| (p.req.st, *p)).collect();
         let plain: Vec<FetchRequest> = reqs.iter().map(|p| p.req).collect();
         let mounted = store.library().mounted_media();
-        let order = if h.config.scheduling {
-            schedule(&plain, &mounted)
-        } else {
-            plain
-        };
+        let order = fetch_order(&plain, h.config.scheduling, &mounted);
         h.metrics.batches.inc();
         h.metrics.batched_fetches.add(order.len() as u64);
         let drives = store.library().drive_count();
@@ -870,24 +889,6 @@ impl ConcurrentHeaven {
 
     // -- the retrieval path (paper §3.5.2) -----------------------------------
 
-    /// Fetch one tile through the hierarchy (memory → disk → tape).
-    pub fn fetch_tile(&self, tile: TileId) -> Result<Arc<Tile>> {
-        if let Some(t) = self.tile_cache.get(tile) {
-            return Ok(t);
-        }
-        let loc = self.adb.lock().tile_location(tile)?;
-        let t = Arc::new(match loc {
-            TileLocation::Disk => self.adb.lock().read_tile(tile)?,
-            TileLocation::Exported => {
-                let st = self.catalog.supertile_of(tile)?;
-                let payload = self.supertile_payload(&self.clock, st)?;
-                decode_member(self.catalog.meta(st)?, &payload, tile)?
-            }
-        });
-        self.tile_cache.put(Arc::clone(&t));
-        Ok(t)
-    }
-
     /// What a region access needs of `oid`, read under one DBMS lock.
     fn target_of(&self, oid: ObjectId, region: &Minterval) -> Result<Target> {
         let adb = self.adb.lock();
@@ -906,9 +907,8 @@ impl ConcurrentHeaven {
         })
     }
 
-    /// Materialize `region` of `oid` across the whole hierarchy: one
-    /// buffer, one copy of each visited clip into it (counted in
-    /// `heaven.bytes_copied`). See [`Self::visit_region_on`].
+    /// Materialize `region` of `oid` across the whole hierarchy. See
+    /// [`Self::visit_region_on`].
     pub(crate) fn fetch_region_on(
         &self,
         lane: &SimClock,
@@ -916,10 +916,43 @@ impl ConcurrentHeaven {
         region: &Minterval,
         batched: bool,
     ) -> Result<MDArray> {
-        let target = self.target_of(oid, region)?;
-        let cell_bytes = target.cell_type.size_bytes() as u64;
+        let targets = [self.target_of(oid, region)?];
+        let slots = self.stage_pass(lane, &targets, batched)?;
+        self.assemble(&targets[0], &slots)
+    }
+
+    /// Materialize a batch of regions in one direct staging pass (paper
+    /// §3.5.3): the tertiary misses of every region are merged,
+    /// deduplicated and ordered together, each super-tile is staged once,
+    /// and every region that needs it decodes its tiles from that
+    /// payload. Results come back in request order.
+    pub(crate) fn fetch_regions_on(
+        &self,
+        lane: &SimClock,
+        requests: &[(ObjectId, Minterval)],
+    ) -> Result<Vec<MDArray>> {
+        let targets = requests
+            .iter()
+            .map(|(oid, region)| self.target_of(*oid, region))
+            .collect::<Result<Vec<_>>>()?;
+        let slots = self.stage_pass(lane, &targets, false)?;
+        let mut rest = slots.as_slice();
+        targets
+            .iter()
+            .map(|target| {
+                let (mine, tail) = rest.split_at(target.tiles.len());
+                rest = tail;
+                self.assemble(target, mine)
+            })
+            .collect()
+    }
+
+    /// Deliver a target's staged `slots` into one buffer: one copy of
+    /// each clip, counted in `heaven.bytes_copied`.
+    fn assemble(&self, target: &Target, slots: &[Option<Arc<Tile>>]) -> Result<MDArray> {
         let mut out = MDArray::zeros(target.region.clone(), target.cell_type);
-        self.visit_target(lane, &target, batched, &mut |clip, src| {
+        let cell_bytes = target.cell_type.size_bytes() as u64;
+        deliver(target, slots, &mut |clip, src| {
             self.metrics
                 .bytes_copied
                 .add(clip.cell_count() * cell_bytes);
@@ -934,7 +967,7 @@ impl ConcurrentHeaven {
     /// per object tile that meets the region, in grid order (the
     /// [`heaven_arraydb::TileProvider::visit_region`] contract). The
     /// tertiary misses go through the cross-session batcher when
-    /// `batched`, else through the direct path (per-query scheduling,
+    /// `batched`, else through the direct path (per-pass scheduling,
     /// sparse reads, prefetch).
     pub(crate) fn visit_region_on(
         &self,
@@ -944,28 +977,49 @@ impl ConcurrentHeaven {
         batched: bool,
         f: &mut Visitor,
     ) -> Result<()> {
-        let target = self.target_of(oid, region)?;
-        self.visit_target(lane, &target, batched, f)
+        let targets = [self.target_of(oid, region)?];
+        let slots = self.stage_pass(lane, &targets, batched)?;
+        deliver(&targets[0], &slots, f)
     }
 
-    /// The one assembly routine. Tiles are classified into grid-indexed
-    /// slots (tile-cache hits and DBMS tiles fill theirs at once;
-    /// exported ones are grouped by super-tile), the super-tiles are
-    /// staged and their members decoded into their slots, and only then
-    /// are the slots delivered in grid order. So the sequence `f` sees
-    /// does not depend on cache state, batching or the staging path.
-    fn visit_target(
+    /// The one staging pass, for one region or a batch of them: **plan**
+    /// (classify every target's tiles into slots), then **stage** (one
+    /// pass over the missed super-tiles, decoding each payload's members
+    /// into every slot that needs them). Returns the slots of all
+    /// targets, in target then grid order, for [`deliver`]. So what a
+    /// target delivers does not depend on cache state, batching or the
+    /// staging path, and a pass fetches no super-tile twice, however
+    /// small the disk cache.
+    fn stage_pass(
         &self,
         lane: &SimClock,
-        target: &Target,
+        targets: &[Target],
         batched: bool,
-        f: &mut Visitor,
-    ) -> Result<()> {
-        self.metrics.region_fetches.inc();
-        let tids = &target.tiles;
-        let mut slots: Vec<Option<Arc<Tile>>> = vec![None; tids.len()];
-        let mut pending: Pending = BTreeMap::new();
-        for (i, &tid) in tids.iter().enumerate() {
+    ) -> Result<Vec<Option<Arc<Tile>>>> {
+        self.metrics.region_fetches.add(targets.len() as u64);
+        let (mut slots, misses) = self.plan(targets)?;
+        if !misses.arrival.is_empty() {
+            if batched {
+                let payloads = self.stage_batched(lane, &misses.arrival)?;
+                for (st, payload) in misses.arrival.iter().zip(payloads) {
+                    let members = &misses.by_st[st];
+                    self.decode_members(self.catalog.meta(*st)?, &payload, members, &mut slots)?;
+                }
+            } else {
+                self.stage_direct(lane, &misses, &mut slots)?;
+                self.run_prefetch(lane, targets, &misses)?;
+            }
+        }
+        Ok(slots)
+    }
+
+    /// Give every tile of `targets` a slot, in target then grid order.
+    /// Tile-cache hits and DBMS tiles fill theirs at once; exported tiles
+    /// become the pass's [`Misses`].
+    fn plan(&self, targets: &[Target]) -> Result<(Vec<Option<Arc<Tile>>>, Misses)> {
+        let mut slots = vec![None; targets.iter().map(|t| t.tiles.len()).sum()];
+        let mut misses = Misses::default();
+        for (i, &tid) in targets.iter().flat_map(|t| &t.tiles).enumerate() {
             if let Some(t) = self.tile_cache.get(tid) {
                 slots[i] = Some(t);
                 continue;
@@ -981,29 +1035,22 @@ impl ConcurrentHeaven {
                 TileLocation::Exported => {
                     drop(adb);
                     let st = self.catalog.supertile_of(tid)?;
-                    pending.entry(st).or_default().push((i, tid));
+                    let members = misses.by_st.entry(st).or_insert_with(|| {
+                        misses.arrival.push(st);
+                        Vec::new()
+                    });
+                    members.push((i, tid));
                 }
             }
         }
-        if batched {
-            let sts: Vec<SuperTileId> = pending.keys().copied().collect();
-            let payloads = self.stage_batched(lane, &sts)?;
-            for ((st, members), payload) in pending.iter().zip(payloads) {
-                self.decode_members(self.catalog.meta(*st)?, &payload, members, &mut slots)?;
-            }
-        } else {
-            self.stage_direct(lane, &pending, &mut slots)?;
-            self.run_prefetch(lane, target.oid, pending.keys().next_back().copied())?;
+        for members in misses.by_st.values_mut() {
+            members.sort_unstable_by_key(|&(_, tid)| tid);
         }
-        for (slot, &tid) in slots.iter().zip(tids) {
-            let t = slot.as_ref().ok_or(HeavenError::TileUnlocated(tid))?;
-            visit_clip(&target.region, &t.data, f)?;
-        }
-        Ok(())
+        Ok((slots, misses))
     }
 
-    /// Decode the `members` of a staged super-tile into their slots and
-    /// cache them.
+    /// Decode the `members` of a staged super-tile into their slots, each
+    /// tile once.
     fn decode_members(
         &self,
         meta: &SuperTileMeta,
@@ -1011,31 +1058,36 @@ impl ConcurrentHeaven {
         members: &[(usize, TileId)],
         slots: &mut [Option<Arc<Tile>>],
     ) -> Result<()> {
-        for &(i, tid) in members {
-            let t = Arc::new(decode_member(meta, payload, tid)?);
-            self.tile_cache.put(Arc::clone(&t));
-            slots[i] = Some(t);
+        for run in tile_runs(members) {
+            let t = decode_member(meta, payload, run[0].1)?;
+            self.fill(slots, run, t);
         }
         Ok(())
     }
 
-    /// The direct path: stage one query's super-tiles — cached ones
-    /// first, then the tape misses in the scheduler's order — and decode
-    /// their member tiles into `slots`.
+    /// Cache a staged tile and hand it to every slot of its `run`.
+    fn fill(&self, slots: &mut [Option<Arc<Tile>>], run: &[(usize, TileId)], t: Tile) {
+        let t = Arc::new(t);
+        self.tile_cache.put(Arc::clone(&t));
+        for &(i, _) in run {
+            slots[i] = Some(Arc::clone(&t));
+        }
+    }
+
+    /// The direct path: stage a pass's super-tiles — cached ones first,
+    /// then the tape misses in [`fetch_order`] — and decode their members
+    /// into `slots`.
     fn stage_direct(
         &self,
         lane: &SimClock,
-        pending: &Pending,
+        misses: &Misses,
         slots: &mut [Option<Arc<Tile>>],
     ) -> Result<()> {
-        if pending.is_empty() {
-            return Ok(());
-        }
         let (ordered, random_access) = {
             let store = self.store.lock();
             let mut ordered: Vec<SuperTileId> = Vec::new();
             let mut to_fetch = Vec::new();
-            for &st in pending.keys() {
+            for &st in &misses.arrival {
                 if self.st_cache.contains(st) {
                     ordered.push(st);
                 } else {
@@ -1047,12 +1099,8 @@ impl ConcurrentHeaven {
             }
             let cached = ordered.len();
             let mounted = store.library().mounted_media();
-            let (order, policy) = if self.config.scheduling {
-                (schedule(&to_fetch, &mounted), "scheduled")
-            } else {
-                (to_fetch, "request-order")
-            };
-            self.note_schedule(&store, lane, &order, &mounted, cached, policy);
+            let order = fetch_order(&to_fetch, self.config.scheduling, &mounted);
+            self.note_schedule(&store, lane, &order, &mounted, cached);
             ordered.extend(order.iter().map(|r| r.st));
             // Partial reads need the uncompressed on-media layout; they
             // also bypass the whole-payload checksum, so under fault
@@ -1064,13 +1112,12 @@ impl ConcurrentHeaven {
         };
         for st in ordered {
             let meta = self.catalog.meta(st)?;
-            let members = &pending[&st];
+            let members = &misses.by_st[&st];
             // On random-access media (MO jukeboxes) a sparse request reads
             // only the member tiles, not the whole super-tile — the medium
             // has no locate penalty to amortize (paper §2.2).
-            let needed_bytes: u64 = members
-                .iter()
-                .filter_map(|&(_, t)| meta.member(t))
+            let needed_bytes: u64 = tile_runs(members)
+                .filter_map(|run| meta.member(run[0].1))
                 .map(|m| m.len)
                 .sum();
             if random_access && !self.st_cache.contains(st) && needed_bytes * 2 < meta.total_len {
@@ -1086,19 +1133,23 @@ impl ConcurrentHeaven {
     /// Emit the scheduler-decision event: how many super-tiles go to tape,
     /// how many are already staged, and the media-exchange estimate for
     /// the chosen order.
-    pub(crate) fn note_schedule(
+    fn note_schedule(
         &self,
         store: &DirectStore,
         lane: &SimClock,
         order: &[FetchRequest],
         mounted: &[MediumId],
         cached: usize,
-        policy: &'static str,
     ) {
         if !self.bus.is_enabled() || (order.is_empty() && cached == 0) {
             return;
         }
         let est = count_exchanges(order, store.library().drive_count(), mounted);
+        let policy = if self.config.scheduling {
+            "scheduled"
+        } else {
+            "request-order"
+        };
         self.bus.event(
             "heaven.schedule",
             lane.now_s(),
@@ -1112,8 +1163,9 @@ impl ConcurrentHeaven {
     }
 
     /// Read only the `members` of super-tile `meta` (random-access
-    /// media), decode them into their slots and cache them. Counts as one
-    /// tertiary fetch of the member bytes; nothing enters the disk cache.
+    /// media), each tile once, decode them into their slots and cache
+    /// them. Counts as one tertiary fetch of the member bytes; nothing
+    /// enters the disk cache.
     fn read_sparse(
         &self,
         lane: &SimClock,
@@ -1136,9 +1188,9 @@ impl ConcurrentHeaven {
         let (payloads, dt) = {
             let mut store = self.store.lock();
             let t0 = store.clock().now_s();
-            let bytes = members
-                .iter()
-                .map(|&(_, tid)| {
+            let bytes = tile_runs(members)
+                .map(|run| {
+                    let tid = run[0].1;
                     let m = meta.member(tid).ok_or(HeavenError::TileUnlocated(tid))?;
                     Ok(store.read_range(addr, m.offset, m.len)?)
                 })
@@ -1147,11 +1199,9 @@ impl ConcurrentHeaven {
             lane.advance_to_s(t1);
             (bytes, t1 - t0)
         };
-        for (bytes, &(i, _)) in payloads.iter().zip(members) {
+        for (bytes, run) in payloads.iter().zip(tile_runs(members)) {
             let (t, _) = Tile::decode_shared(bytes, 0).map_err(HeavenError::Array)?;
-            let t = Arc::new(t);
-            self.tile_cache.put(Arc::clone(&t));
-            slots[i] = Some(t);
+            self.fill(slots, run, t);
         }
         self.metrics.note_tape_fetch(needed_bytes, dt);
         span.end(lane.now_s());
@@ -1253,58 +1303,60 @@ impl ConcurrentHeaven {
         Ok(payload)
     }
 
-    /// Prefetch the successors of the query's last super-tile
-    /// `max_touched` in cluster order (paper §3.6).
+    /// Prefetch, for each target of a direct pass, the successors of its
+    /// last missed super-tile in cluster order (paper §3.6).
     /// Best-effort: a super-tile that can't be staged now simply stays
     /// on tape for the demand path to recover.
-    fn run_prefetch(
-        &self,
-        lane: &SimClock,
-        oid: ObjectId,
-        max_touched: Option<SuperTileId>,
-    ) -> Result<()> {
+    fn run_prefetch(&self, lane: &SimClock, targets: &[Target], misses: &Misses) -> Result<()> {
         let PrefetchPolicy::NextInOrder(n) = self.config.prefetch else {
             return Ok(());
         };
-        let Some(max_touched) = max_touched else {
-            return Ok(());
-        };
-        let order = self.catalog.object_supertiles(oid);
-        let Some(pos) = order.iter().position(|&s| s == max_touched) else {
-            return Ok(());
-        };
-        for &st in order.iter().skip(pos + 1).take(n) {
-            if self.st_cache.contains(st) {
+        let mut first = 0;
+        for target in targets {
+            let mine = first..first + target.tiles.len();
+            first = mine.end;
+            let mut missed = misses.by_st.iter().rev();
+            let Some((&last, _)) = missed.find(|(_, m)| m.iter().any(|(i, _)| mine.contains(i)))
+            else {
                 continue;
-            }
-            let t0 = lane.now_s();
-            let bytes = self.catalog.address(st)?.len;
-            self.bus.event(
-                "heaven.prefetch.issue",
-                t0,
-                &[("st", st.into()), ("bytes", bytes.into())],
-            );
-            if self.stage(lane, st).is_err() {
+            };
+            let order = self.catalog.object_supertiles(target.oid);
+            let Some(pos) = order.iter().position(|&s| s == last) else {
                 continue;
+            };
+            for &st in order.iter().skip(pos + 1).take(n) {
+                if self.st_cache.contains(st) {
+                    continue;
+                }
+                let t0 = lane.now_s();
+                let bytes = self.catalog.address(st)?.len;
+                self.bus.event(
+                    "heaven.prefetch.issue",
+                    t0,
+                    &[("st", st.into()), ("bytes", bytes.into())],
+                );
+                if self.stage(lane, st).is_err() {
+                    continue;
+                }
+                let t1 = lane.now_s();
+                self.metrics.prefetches.inc();
+                self.metrics.prefetch_s.add(t1 - t0);
+                self.metrics.prefetch_bytes.add(bytes);
+                self.bus.event(
+                    "heaven.prefetch.complete",
+                    t1,
+                    &[
+                        ("st", st.into()),
+                        ("bytes", bytes.into()),
+                        ("dur_s", (t1 - t0).into()),
+                    ],
+                );
             }
-            let t1 = lane.now_s();
-            self.metrics.prefetches.inc();
-            self.metrics.prefetch_s.add(t1 - t0);
-            self.metrics.prefetch_bytes.add(bytes);
-            self.bus.event(
-                "heaven.prefetch.complete",
-                t1,
-                &[
-                    ("st", st.into()),
-                    ("bytes", bytes.into()),
-                    ("dur_s", (t1 - t0).into()),
-                ],
-            );
         }
         Ok(())
     }
 
-    /// The batched path: stage the payloads of one query's super-tiles
+    /// The batched path: stage the payloads of a pass's super-tiles
     /// `sts`, in order. Striped-cache hits are charged to `lane`; the
     /// misses go to tertiary storage as **one** cross-session batch
     /// request, which runs the full recovery ladder under faults. A

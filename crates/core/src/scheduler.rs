@@ -58,6 +58,25 @@ pub fn schedule(requests: &[FetchRequest], mounted: &[MediumId]) -> Vec<FetchReq
     out
 }
 
+/// The order to stage `requests` in: [`schedule`]'s when `scheduling`,
+/// else arrival order (the paper's baseline: the order the requests were
+/// first needed). Duplicate super-tiles collapse either way.
+pub fn fetch_order(
+    requests: &[FetchRequest],
+    scheduling: bool,
+    mounted: &[MediumId],
+) -> Vec<FetchRequest> {
+    if scheduling {
+        return schedule(requests, mounted);
+    }
+    let mut seen = std::collections::HashSet::new();
+    requests
+        .iter()
+        .filter(|r| seen.insert(r.st))
+        .copied()
+        .collect()
+}
+
 /// Count the media exchanges a fetch order would cause with `drives`
 /// drives and the given initially mounted media (LRU replacement —
 /// mirrors the library simulator).
@@ -100,10 +119,10 @@ pub fn count_exchanges(order: &[FetchRequest], drives: usize, mounted: &[MediumI
 /// Split a scheduled fetch order into staging **rounds** for parallel
 /// drives: each round holds at most `drives` groups, each group all the
 /// consecutive requests of one medium, so every group can execute on its
-/// own drive against a detached clock (see
-/// `heaven_hsm::DirectStore::read_parallel`) and a round costs only its
-/// slowest group. The within-round and across-round request order is the
-/// scheduled order, so exchange/seek minimization is preserved.
+/// own drive against a detached clock (`TapeLibrary::run_detached`, as
+/// the batcher's drainer does) and a round costs only its slowest group.
+/// The within-round and across-round request order is the scheduled
+/// order, so exchange/seek minimization is preserved.
 pub fn plan_drive_rounds(order: &[FetchRequest], drives: usize) -> Vec<Vec<Vec<FetchRequest>>> {
     let drives = drives.max(1);
     let mut rounds: Vec<Vec<Vec<FetchRequest>>> = Vec::new();
@@ -178,6 +197,19 @@ mod tests {
         let reqs = vec![req(1, 1, 0), req(1, 1, 0), req(2, 1, 100)];
         let s = schedule(&reqs, &[]);
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn fetch_order_keeps_arrival_order_unless_scheduling() {
+        let reqs = vec![
+            req(1, 2, 500),
+            req(2, 1, 900),
+            req(1, 2, 500),
+            req(3, 1, 100),
+        ];
+        let arrival = fetch_order(&reqs, false, &[]);
+        assert_eq!(arrival.iter().map(|r| r.st).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(fetch_order(&reqs, true, &[2]), schedule(&reqs, &[2]));
     }
 
     #[test]

@@ -21,11 +21,10 @@ use crate::config::HeavenConfig;
 use crate::error::Result;
 use crate::persist::CatalogStore;
 use crate::precomp::PrecompCatalog;
-use crate::scheduler::{schedule, FetchRequest};
 use crate::supertile::SuperTileId;
 use bytes::Bytes;
 use heaven_array::{Codec, Condenser, MDArray, Minterval, ObjectId};
-use heaven_arraydb::{ArrayDb, ObjectMeta, TileLocation, TileProvider, Visitor};
+use heaven_arraydb::{ArrayDb, ObjectMeta, TileProvider, Visitor};
 use heaven_hsm::{BlockAddress, DirectStore};
 use heaven_obs::{Field, QueryBreakdown, SpanId};
 use heaven_tape::{SimClock, TapeLibrary, TapeStats};
@@ -431,68 +430,21 @@ impl Heaven {
     }
 
     /// Execute a *batch* of region queries with inter-query scheduling
-    /// (paper §3.5.3): the tertiary fetches of all queries are merged,
-    /// deduplicated and ordered (one visit per medium, ascending offsets),
-    /// staged through the cache hierarchy, and only then is each query's
-    /// result assembled. Results are returned in request order.
+    /// (paper §3.5.3) as one staging pass: the tertiary fetches of all
+    /// queries are merged, deduplicated and ordered (one visit per
+    /// medium, ascending offsets), each super-tile is staged once, and
+    /// every query that needs it decodes its tiles from that payload.
+    /// Results are returned in request order.
     pub fn fetch_batch(&mut self, requests: &[(ObjectId, Minterval)]) -> Result<Vec<MDArray>> {
         let auto_bracket = self.active_query.is_none();
         if auto_bracket {
             self.begin_query(&format!("batch of {} regions", requests.len()));
         }
-        let result = self.fetch_batch_impl(requests);
+        let result = self.engine.fetch_regions_on(&self.clock(), requests);
         if auto_bracket {
             self.end_query();
         }
         result
-    }
-
-    fn fetch_batch_impl(&mut self, requests: &[(ObjectId, Minterval)]) -> Result<Vec<MDArray>> {
-        // Collect every exported super-tile any query needs.
-        let engine = &mut self.engine;
-        let adb = engine.adb.get_mut();
-        let mut needed: Vec<FetchRequest> = Vec::new();
-        for (oid, region) in requests {
-            let meta = adb.object(*oid)?;
-            let Some(target) = meta.domain.intersection(region) else {
-                continue;
-            };
-            for tid in meta.tiles_intersecting(&target) {
-                if adb.tile_location(tid)? == TileLocation::Exported {
-                    let st = engine.catalog.supertile_of(tid)?;
-                    if !engine.st_cache.contains(st) {
-                        needed.push(FetchRequest {
-                            st,
-                            addr: engine.catalog.address(st)?,
-                        });
-                    }
-                }
-            }
-        }
-        // One scheduled sweep stages everything.
-        let clock = self.clock();
-        let order = {
-            let store = self.store();
-            let mounted = store.library().mounted_media();
-            let order = if self.config.scheduling {
-                schedule(&needed, &mounted)
-            } else {
-                let mut seen = std::collections::HashSet::new();
-                needed.into_iter().filter(|r| seen.insert(r.st)).collect()
-            };
-            self.note_schedule(&store, &clock, &order, &mounted, 0, "batch");
-            order
-        };
-        for r in order {
-            if !self.st_cache.contains(r.st) {
-                self.stage(&clock, r.st)?;
-            }
-        }
-        // Assemble each query (cache hits all the way).
-        requests
-            .iter()
-            .map(|(oid, region)| self.fetch_region_hierarchical(*oid, region))
-            .collect()
     }
 }
 

@@ -495,3 +495,68 @@ fn media_scan_rebuilds_a_lost_catalog() {
         value_at(1, &Point::new(vec![35, 35]))
     );
 }
+
+/// One 80x80 f64 object (64 tiles of 10x10) archived as 16 super-tiles
+/// of 4 KiB behind a disk cache that holds two of them, plus an
+/// unexported `ArrayDb` holding the same cells as ground truth.
+fn small_cache_with_truth() -> (Heaven, ArrayDb, u64) {
+    let arr = MDArray::generate(mi(&[(0, 79), (0, 79)]), CellType::F64, |p| value_at(0, p));
+    let tiling = Tiling::Regular {
+        tile_shape: vec![10, 10],
+    };
+    let clock = SimClock::new();
+    let mut adbs = [0, 1].map(|_| {
+        let db = Database::new(DiskProfile::scsi2003(), clock.clone(), 4096);
+        let mut adb = ArrayDb::create(db).unwrap();
+        adb.create_collection("c", CellType::F64, 2).unwrap();
+        adb
+    });
+    let oid = adbs[0].insert_object("c", &arr, tiling.clone()).unwrap();
+    assert_eq!(adbs[1].insert_object("c", &arr, tiling).unwrap(), oid);
+    let [adb, truth] = adbs;
+    let lib = TapeLibrary::new(DeviceProfile::ibm3590(), 1, clock);
+    let config = HeavenConfig {
+        supertile_bytes: Some(4096),
+        clustering: ClusteringStrategy::EStar(AccessPattern::Uniform),
+        disk_cache_bytes: 2 * 4096 + 1024,
+        ..HeavenConfig::default()
+    };
+    let mut heaven = Heaven::new(adb, lib, config);
+    let report = heaven.export_object(oid, ExportMode::Tct).unwrap();
+    assert_eq!(report.supertiles, 16);
+    heaven.clear_caches();
+    (heaven, truth, oid)
+}
+
+/// A batch whose miss set exceeds the disk cache stages each super-tile
+/// from tape once: every box that needs a super-tile decodes its tiles
+/// from the payload as it lands, so none has to come back from tape
+/// after the small cache evicted it.
+#[test]
+fn batch_larger_than_the_disk_cache_fetches_each_supertile_once() {
+    let boxes: Vec<Minterval> = (0..4)
+        .map(|i| mi(&[(20 * i, 20 * i + 19), (0, 79)]))
+        .collect();
+
+    let (mut heaven, mut truth, oid) = small_cache_with_truth();
+    let batch: Vec<(u64, Minterval)> = boxes.iter().map(|b| (oid, b.clone())).collect();
+    let t0 = heaven.clock().now_s();
+    let results = heaven.fetch_batch(&batch).unwrap();
+    let batch_s = heaven.clock().now_s() - t0;
+    assert_eq!(heaven.stats().st_tape_fetches, 16, "each super-tile once");
+    for (region, got) in boxes.iter().zip(&results) {
+        assert_eq!(*got, truth.read_subarray(oid, region).unwrap(), "{region}");
+    }
+
+    let (mut heaven, _, oid) = small_cache_with_truth();
+    let t0 = heaven.clock().now_s();
+    for region in &boxes {
+        heaven.fetch_region_hierarchical(oid, region).unwrap();
+    }
+    let one_by_one_s = heaven.clock().now_s() - t0;
+    assert!(
+        batch_s <= one_by_one_s,
+        "batch {batch_s:.2} s vs one by one {one_by_one_s:.2} s"
+    );
+    assert!(batch_s <= 2.27, "batch {batch_s:.2} s");
+}

@@ -4,8 +4,10 @@
 //! FIFO on media exchanges, a query's whole super-tile miss set staging
 //! as one batch, seeded-chaos determinism (same seed → byte-identical
 //! answers and identical fault/recovery counters, single-session and
-//! 8-thread concurrent), and the batching window closing once every open
-//! session has queued (or when it runs out, for a session that never does).
+//! 8-thread concurrent), the batching window closing once every open
+//! session has queued (or when it runs out, for a session that never does),
+//! and a drain whose miss set spans two media running them side by side on
+//! two drives.
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -795,4 +797,107 @@ fn closing_the_idle_session_releases_a_waiting_drainer() {
         query.join().unwrap().unwrap();
     });
     assert!(start.elapsed() < Duration::from_secs(10));
+}
+
+/// One object of GRID x GRID single-tile super-tiles whose archive spans
+/// two media (half the super-tiles on each), on `drives` drives, batched.
+fn build_two_media(drives: usize) -> (Heaven, u64) {
+    let clock = SimClock::new();
+    let db = Database::new(DiskProfile::scsi2003(), clock.clone(), 4096);
+    let mut adb = ArrayDb::create(db).unwrap();
+    adb.create_collection("conc", CellType::F32, 2).unwrap();
+    let dom = mi(&[(0, GRID * TILE_EDGE - 1), (0, GRID * TILE_EDGE - 1)]);
+    let arr = MDArray::generate(dom, CellType::F32, |p: &Point| {
+        (p.coord(0) * 1000 + p.coord(1)) as f64
+    });
+    let oid = adb
+        .insert_object(
+            "conc",
+            &arr,
+            Tiling::Regular {
+                tile_shape: vec![TILE_EDGE as u64, TILE_EDGE as u64],
+            },
+        )
+        .unwrap();
+    let tile_encoded = (Tile::header_len(2) + (TILE_EDGE * TILE_EDGE) as usize * 4) as u64;
+    let half = (GRID * GRID / 2) as u64;
+    let profile = DeviceProfile {
+        media_capacity: half * tile_encoded + tile_encoded / 2,
+        ..DeviceProfile::ibm3590()
+    };
+    let config = HeavenConfig {
+        supertile_bytes: Some(tile_encoded),
+        cross_session_batching: true,
+        ..HeavenConfig::default()
+    };
+    let lib = TapeLibrary::new(profile, drives, clock);
+    let mut heaven = Heaven::new(adb, lib, config);
+    heaven.export_object(oid, ExportMode::Tct).unwrap();
+    heaven.clear_caches();
+    (heaven, oid)
+}
+
+/// Each medium's share of the [`build_two_media`] object, read straight
+/// through the store of a fresh 2-drive twin in archive order: the
+/// simulated seconds of its drive's window.
+fn medium_windows() -> Vec<f64> {
+    let (twin, oid) = build_two_media(2);
+    let addrs: Vec<_> = twin
+        .catalog()
+        .object_supertiles(oid)
+        .iter()
+        .map(|&st| twin.catalog().address(st).unwrap())
+        .collect();
+    let media: std::collections::BTreeSet<_> = addrs.iter().map(|a| a.medium).collect();
+    let mut store = twin.store();
+    let clock = store.clock();
+    media
+        .into_iter()
+        .map(|m| {
+            let t0 = clock.now_s();
+            for a in addrs.iter().filter(|a| a.medium == m) {
+                store.read(*a).unwrap();
+            }
+            clock.now_s() - t0
+        })
+        .collect()
+}
+
+#[test]
+fn batched_drain_overlaps_the_drives_of_two_media() {
+    let windows = medium_windows();
+    assert_eq!(windows.len(), 2, "the object spans two media");
+    let (slower, sum) = (windows[0].max(windows[1]), windows[0] + windows[1]);
+    // One cold batched session reads the whole object: its miss set spans
+    // both media. Returns the shared clock's advance and the drives'
+    // summed busy time.
+    let cold_query = |drives| {
+        let (heaven, oid) = build_two_media(drives);
+        let (t0, before) = (heaven.clock().now_s(), heaven.tape_stats());
+        let whole = tiles_region(0, GRID * GRID - 1);
+        heaven.session().fetch_region(oid, &whole).unwrap();
+        let busy = heaven.tape_stats().since(&before);
+        (
+            heaven.clock().now_s() - t0,
+            busy.exchange_s + busy.locate_s + busy.transfer_s,
+        )
+    };
+    let (two_s, two_busy) = cold_query(2);
+    let (one_s, _) = cold_query(1);
+    // Two drives each work through one medium's whole window ...
+    assert!(
+        (two_busy - sum).abs() < 1e-6 * sum,
+        "drives busy {two_busy:.3} s, windows {windows:?}"
+    );
+    // ... side by side: the shared clock advances by the slower window
+    // (plus the disk-cache admissions), not by the sum.
+    assert!(
+        two_s >= slower && two_s < slower + 0.1 * (sum - slower),
+        "2 drives took {two_s:.3} s, windows {windows:?}"
+    );
+    // One drive serves the two media in turn.
+    assert!(
+        one_s >= sum,
+        "1 drive took {one_s:.3} s, windows {windows:?}"
+    );
 }

@@ -165,37 +165,6 @@ impl DirectStore {
         let p = self.library.profile();
         p.mount_time_s() + p.locate_time_s(0, addr.offset) + p.transfer_time_s(addr.len)
     }
-
-    /// Read one *round* of blocks with the library's drives working in
-    /// parallel: each group (typically all requests for one medium,
-    /// targeting one drive) executes against a detached clock forked at
-    /// the common start instant, and the shared clock then advances by
-    /// the **longest** group — overlapping the per-drive busy windows in
-    /// simulated time the way parallel hardware overlaps them in real
-    /// time. Returns the payloads per group plus the window length.
-    ///
-    /// Groups should not exceed the drive count per round; the caller
-    /// (the staging coordinator) plans rounds accordingly.
-    pub fn read_parallel(
-        &mut self,
-        groups: &[Vec<BlockAddress>],
-    ) -> Result<(Vec<Vec<Bytes>>, f64)> {
-        let t0 = self.library.clock().now_s();
-        let mut out = Vec::with_capacity(groups.len());
-        let mut window = 0.0f64;
-        for group in groups {
-            let (res, dt) = self.library.run_detached(|lib| {
-                group
-                    .iter()
-                    .map(|a| lib.read(a.medium, a.offset, a.len))
-                    .collect::<std::result::Result<Vec<_>, _>>()
-            });
-            out.push(res?);
-            window = window.max(dt);
-        }
-        self.library.clock().advance_to_s(t0 + window);
-        Ok((out, window))
-    }
 }
 
 #[cfg(test)]
@@ -255,46 +224,6 @@ mod tests {
         let a2 = s.append(WritePayload::Phantom(800)).unwrap();
         assert_ne!(a1.medium, a2.medium);
         assert_eq!(s.fill_media().len(), 2);
-    }
-
-    #[test]
-    fn read_parallel_overlaps_drive_windows() {
-        let mut s = store(); // 2 drives
-        let m1 = s.open_new_medium();
-        let m2 = s.open_new_medium();
-        let a1 = s
-            .write_to(m1, WritePayload::real(vec![1u8; 1 << 20]))
-            .unwrap();
-        let a2 = s
-            .write_to(m2, WritePayload::real(vec![2u8; 1 << 20]))
-            .unwrap();
-        // Serial baseline for the same two cold reads, on a twin store.
-        let mut serial = store();
-        let sm1 = serial.open_new_medium();
-        let sm2 = serial.open_new_medium();
-        let sa1 = serial
-            .write_to(sm1, WritePayload::real(vec![1u8; 1 << 20]))
-            .unwrap();
-        let sa2 = serial
-            .write_to(sm2, WritePayload::real(vec![2u8; 1 << 20]))
-            .unwrap();
-        let st0 = serial.clock().now_s();
-        serial.read(sa1).unwrap();
-        serial.read(sa2).unwrap();
-        let serial_s = serial.clock().now_s() - st0;
-
-        let t0 = s.clock().now_s();
-        let (payloads, window) = s.read_parallel(&[vec![a1], vec![a2]]).unwrap();
-        assert_eq!(payloads[0][0], vec![1u8; 1 << 20]);
-        assert_eq!(payloads[1][0], vec![2u8; 1 << 20]);
-        let parallel_s = s.clock().now_s() - t0;
-        assert!((parallel_s - window).abs() < 1e-9);
-        assert!(
-            parallel_s < serial_s * 0.75,
-            "two drives in parallel ({parallel_s:.2}s) must beat serial ({serial_s:.2}s)"
-        );
-        // Busy time (stats) still accounts both drives' work in full.
-        assert_eq!(s.stats().bytes_read, 2 << 20);
     }
 
     #[test]

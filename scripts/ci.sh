@@ -34,13 +34,19 @@ echo "==> one tertiary staging path in core"
 # Every tertiary payload enters the hierarchy through the engine's
 # stage/admit pair (crates/core/src/concurrent.rs). A second call site of
 # the recovery ladder, or a second registration of the fetch counter,
-# means a second staging path has crept back in.
+# means a second staging path has crept back in. Every staging path
+# orders its fetches through scheduler::fetch_order: a call of the bare
+# scheduler (word-bounded, so note_schedule( does not count) outside
+# scheduler.rs means a hand-copied scheduled/arrival choice is back.
 ladder_calls=$(grep -rn 'read_with_recovery(' crates/core/src \
   | grep -vc '^crates/core/src/recovery.rs:' || true)
 fetch_counters=$(grep -rn '"heaven.st_tape_fetches"' crates/core/src | wc -l)
-if [ "$ladder_calls" -ne 1 ] || [ "$fetch_counters" -ne 1 ]; then
+schedule_calls=$(grep -rn '\bschedule(' crates/core/src \
+  | grep -vc '^crates/core/src/scheduler.rs:' || true)
+if [ "$ladder_calls" -ne 1 ] || [ "$fetch_counters" -ne 1 ] || [ "$schedule_calls" -ne 0 ]; then
   echo "read_with_recovery( call sites outside recovery.rs: $ladder_calls (want 1)"
   echo "\"heaven.st_tape_fetches\" registrations: $fetch_counters (want 1)"
+  echo "schedule( call sites outside scheduler.rs: $schedule_calls (want 0)"
   exit 1
 fi
 
