@@ -211,14 +211,27 @@ impl Minterval {
 
     /// Intersection box, if non-empty.
     pub fn intersection(&self, other: &Minterval) -> Option<Minterval> {
+        let mut out = Minterval {
+            axes: Vec::with_capacity(self.dim()),
+        };
+        self.intersect_into(other, &mut out).then_some(out)
+    }
+
+    /// [`Self::intersection`] into `out`, reusing its allocation: `true`
+    /// and `out` = the intersection box when the two meet, else `false`
+    /// (and `out` holds no meaningful box).
+    pub fn intersect_into(&self, other: &Minterval, out: &mut Minterval) -> bool {
+        out.axes.clear();
         if self.dim() != other.dim() {
-            return None;
+            return false;
         }
-        let mut axes = Vec::with_capacity(self.dim());
         for (a, b) in self.axes.iter().zip(&other.axes) {
-            axes.push(a.intersect(b)?);
+            match a.intersect(b) {
+                Some(i) => out.axes.push(i),
+                None => return false,
+            }
         }
-        Some(Minterval { axes })
+        true
     }
 
     /// Smallest box covering both operands.
@@ -544,6 +557,22 @@ mod tests {
         assert!(!a.intersects(&c));
         assert_eq!(a.intersection(&c), None);
         assert_eq!(a.overlap_cells(&b), 3 * 5);
+    }
+
+    #[test]
+    fn intersect_into_reuses_one_buffer() {
+        let region = mi(&[(5, 14), (5, 14)]);
+        let mut clip = mi(&[(0, 0)]);
+        for (tile, want) in [
+            (mi(&[(0, 9), (0, 9)]), Some(mi(&[(5, 9), (5, 9)]))),
+            (mi(&[(10, 19), (0, 9)]), Some(mi(&[(10, 14), (5, 9)]))),
+            (mi(&[(20, 29), (0, 9)]), None),
+            (mi(&[(0, 9)]), None),
+        ] {
+            let met = tile.intersect_into(&region, &mut clip);
+            assert_eq!(met.then(|| clip.clone()), want, "{tile}");
+            assert_eq!(tile.intersection(&region), want);
+        }
     }
 
     #[test]

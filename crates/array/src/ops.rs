@@ -8,7 +8,7 @@
 use crate::domain::{Interval, Minterval, RowRuns};
 use crate::error::{ArrayError, Result};
 use crate::mdd::MDArray;
-use crate::value::{with_scalar, CellType, Scalar};
+use crate::value::{with_scalar, CellType, Promote, Scalar};
 
 /// Trim: restrict the array to a sub-box (dimensionality preserved).
 pub fn trim(a: &MDArray, region: &Minterval) -> Result<MDArray> {
@@ -123,43 +123,89 @@ pub enum BinaryOp {
     Ne,
 }
 
-impl BinaryOp {
-    /// Whether the operation yields a boolean (0/1) mask.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge | BinaryOp::Eq | BinaryOp::Ne
-        )
-    }
-
-    /// Result type for operand types `l`, `r`.
-    pub fn result_type(self, l: CellType, r: CellType) -> CellType {
-        if self.is_comparison() {
-            CellType::U8
-        } else {
-            l.promote(r)
-        }
-    }
-
-    fn apply(self, a: f64, b: f64) -> Result<f64> {
-        Ok(match self {
-            BinaryOp::Add => a + b,
-            BinaryOp::Sub => a - b,
-            BinaryOp::Mul => a * b,
-            BinaryOp::Div => {
-                if b == 0.0 {
-                    return Err(ArrayError::DivisionByZero);
-                }
-                a / b
+/// Bind `$f` to `op`'s cell kernel over f64 and `$O` to its output cell
+/// type (`$arith` for arithmetic, `u8` for comparison masks), and
+/// evaluate `$body` once per op: the cell loop inside is monomorphized
+/// per op, with no match per cell. `Div` divides unchecked, so callers
+/// reject zero divisors before the pass. `Min`/`Max` fix what
+/// `f64::min`/`f64::max` leave open: a NaN operand yields the other,
+/// and a tie such as `-0.0` vs `0.0` yields `a`.
+macro_rules! with_op {
+    ($op:expr, $f:ident, $O:ident = $arith:ty, $body:block) => {
+        match $op {
+            BinaryOp::Add => {
+                type $O = $arith;
+                let $f = |a: f64, b: f64| a + b;
+                $body
             }
-            BinaryOp::Min => a.min(b),
-            BinaryOp::Max => a.max(b),
-            BinaryOp::Lt => (a < b) as u8 as f64,
-            BinaryOp::Le => (a <= b) as u8 as f64,
-            BinaryOp::Gt => (a > b) as u8 as f64,
-            BinaryOp::Ge => (a >= b) as u8 as f64,
-            BinaryOp::Eq => (a == b) as u8 as f64,
-            BinaryOp::Ne => (a != b) as u8 as f64,
+            BinaryOp::Sub => {
+                type $O = $arith;
+                let $f = |a: f64, b: f64| a - b;
+                $body
+            }
+            BinaryOp::Mul => {
+                type $O = $arith;
+                let $f = |a: f64, b: f64| a * b;
+                $body
+            }
+            BinaryOp::Div => {
+                type $O = $arith;
+                let $f = |a: f64, b: f64| a / b;
+                $body
+            }
+            BinaryOp::Min => {
+                type $O = $arith;
+                let $f = |a: f64, b: f64| if b < a || a.is_nan() { b } else { a };
+                $body
+            }
+            BinaryOp::Max => {
+                type $O = $arith;
+                let $f = |a: f64, b: f64| if b > a || a.is_nan() { b } else { a };
+                $body
+            }
+            BinaryOp::Lt => {
+                type $O = u8;
+                let $f = |a: f64, b: f64| (a < b) as u8 as f64;
+                $body
+            }
+            BinaryOp::Le => {
+                type $O = u8;
+                let $f = |a: f64, b: f64| (a <= b) as u8 as f64;
+                $body
+            }
+            BinaryOp::Gt => {
+                type $O = u8;
+                let $f = |a: f64, b: f64| (a > b) as u8 as f64;
+                $body
+            }
+            BinaryOp::Ge => {
+                type $O = u8;
+                let $f = |a: f64, b: f64| (a >= b) as u8 as f64;
+                $body
+            }
+            BinaryOp::Eq => {
+                type $O = u8;
+                let $f = |a: f64, b: f64| (a == b) as u8 as f64;
+                $body
+            }
+            BinaryOp::Ne => {
+                type $O = u8;
+                let $f = |a: f64, b: f64| (a != b) as u8 as f64;
+                $body
+            }
+        }
+    };
+}
+
+impl BinaryOp {
+    /// Result type for operand types `l`, `r`: the cell type the
+    /// induced kernels write (a `u8` mask for comparisons, the promoted
+    /// type for arithmetic).
+    pub fn result_type(self, l: CellType, r: CellType) -> CellType {
+        with_scalar!(l, S, {
+            with_scalar!(r, T, {
+                with_op!(self, _f, O = <S as Promote<T>>::Out, { O::TYPE })
+            })
         })
     }
 }
@@ -195,48 +241,45 @@ pub fn induced_binary(a: &MDArray, b: &MDArray, op: BinaryOp) -> Result<MDArray>
     let mut out = vec![0u8; n * out_ty.size_bytes()];
     with_scalar!(a.cell_type(), S, {
         with_scalar!(b.cell_type(), T, {
-            with_scalar!(out_ty, O, {
-                zip_cells::<S, T, O>(a.bytes(), b.bytes(), &mut out, op)?;
+            if op == BinaryOp::Div && any_zero::<T>(b.bytes()) {
+                return Err(ArrayError::DivisionByZero);
+            }
+            with_op!(op, f, O = <S as Promote<T>>::Out, {
+                zip_cells::<S, T, O>(a.bytes(), b.bytes(), &mut out, f);
             })
         })
     });
     MDArray::from_bytes(dom, out_ty, out)
 }
 
-/// Aligned cell-for-cell binary pass; errors out (leaving `dst` partial,
-/// which the caller discards) on a zero divisor.
+/// Aligned cell-for-cell binary pass.
 fn zip_cells<S: Scalar, T: Scalar, O: Scalar>(
     a: &[u8],
     b: &[u8],
     dst: &mut [u8],
-    op: BinaryOp,
-) -> Result<()> {
+    f: impl Fn(f64, f64) -> f64,
+) {
     for ((ab, bb), db) in a
         .chunks_exact(S::SIZE)
         .zip(b.chunks_exact(T::SIZE))
         .zip(dst.chunks_exact_mut(O::SIZE))
     {
-        let v = op.apply(S::from_le(ab).to_f64(), T::from_le(bb).to_f64())?;
-        O::from_f64(v).write_le(db);
+        O::from_f64(f(S::from_le(ab).to_f64(), T::from_le(bb).to_f64())).write_le(db);
     }
-    Ok(())
 }
 
 /// Apply a binary induced operation between an array and a scalar.
 pub fn induced_scalar(a: &MDArray, scalar: f64, op: BinaryOp) -> Result<MDArray> {
     let out_ty = op.result_type(a.cell_type(), a.cell_type());
     if op == BinaryOp::Div && scalar == 0.0 {
-        // The divisor is the same for every cell; fail before the pass
-        // like the per-point path failed on the first cell.
+        // The divisor is the same for every cell; fail before the pass.
         return Err(ArrayError::DivisionByZero);
     }
     let n = a.domain().cell_count() as usize;
     let mut out = vec![0u8; n * out_ty.size_bytes()];
     with_scalar!(a.cell_type(), S, {
-        with_scalar!(out_ty, O, {
-            map_cells::<S, O>(a.bytes(), &mut out, |v| {
-                op.apply(v, scalar).expect("divisor checked nonzero")
-            });
+        with_op!(op, f, O = S, {
+            map_cells::<S, O>(a.bytes(), &mut out, |v| f(v, scalar));
         })
     });
     MDArray::from_bytes(a.domain().clone(), out_ty, out)
@@ -253,10 +296,8 @@ pub fn scalar_induced(scalar: f64, a: &MDArray, op: BinaryOp) -> Result<MDArray>
         if op == BinaryOp::Div && any_zero::<S>(a.bytes()) {
             return Err(ArrayError::DivisionByZero);
         }
-        with_scalar!(out_ty, O, {
-            map_cells::<S, O>(a.bytes(), &mut out, |v| {
-                op.apply(scalar, v).expect("divisors checked nonzero")
-            });
+        with_op!(op, f, O = S, {
+            map_cells::<S, O>(a.bytes(), &mut out, |v| f(scalar, v));
         })
     });
     MDArray::from_bytes(a.domain().clone(), out_ty, out)
@@ -622,6 +663,7 @@ fn scale_blocks<S: Scalar>(a: &MDArray, factors: &[u64], out_dom: &Minterval) ->
 mod tests {
     use super::*;
     use crate::domain::Point;
+    use crate::value::CellValue;
 
     fn mi(b: &[(i64, i64)]) -> Minterval {
         Minterval::new(b).unwrap()
@@ -713,6 +755,199 @@ mod tests {
         assert!(induced_scalar(&a, 0.0, BinaryOp::Div).is_err());
         let z = MDArray::zeros(mi(&[(0, 3), (0, 3)]), CellType::I32);
         assert!(induced_binary(&a, &z, BinaryOp::Div).is_err());
+    }
+
+    const ALL_TYPES: [CellType; 5] = [
+        CellType::U8,
+        CellType::I16,
+        CellType::I32,
+        CellType::F32,
+        CellType::F64,
+    ];
+
+    const ALL_OPS: [BinaryOp; 12] = [
+        BinaryOp::Add,
+        BinaryOp::Sub,
+        BinaryOp::Mul,
+        BinaryOp::Div,
+        BinaryOp::Min,
+        BinaryOp::Max,
+        BinaryOp::Lt,
+        BinaryOp::Le,
+        BinaryOp::Gt,
+        BinaryOp::Ge,
+        BinaryOp::Eq,
+        BinaryOp::Ne,
+    ];
+
+    /// The reference semantics of one cell: `op` over f64, a zero
+    /// divisor an error.
+    fn apply(op: BinaryOp, a: f64, b: f64) -> Result<f64> {
+        Ok(match op {
+            BinaryOp::Add => a + b,
+            BinaryOp::Sub => a - b,
+            BinaryOp::Mul => a * b,
+            BinaryOp::Div => {
+                if b == 0.0 {
+                    return Err(ArrayError::DivisionByZero);
+                }
+                a / b
+            }
+            // NaN loses; a tie such as -0.0 vs 0.0 yields `a` (std's
+            // `f64::min`/`max` leave the sign of a zero tie open)
+            BinaryOp::Min => {
+                if b < a || a.is_nan() {
+                    b
+                } else {
+                    a
+                }
+            }
+            BinaryOp::Max => {
+                if b > a || a.is_nan() {
+                    b
+                } else {
+                    a
+                }
+            }
+            BinaryOp::Lt => (a < b) as u8 as f64,
+            BinaryOp::Le => (a <= b) as u8 as f64,
+            BinaryOp::Gt => (a > b) as u8 as f64,
+            BinaryOp::Ge => (a >= b) as u8 as f64,
+            BinaryOp::Eq => (a == b) as u8 as f64,
+            BinaryOp::Ne => (a != b) as u8 as f64,
+        })
+    }
+
+    /// Cell `i` of `a`, decoded without the typed kernels.
+    fn cell(a: &MDArray, i: usize) -> f64 {
+        let sz = a.cell_type().size_bytes();
+        let b = &a.bytes()[i * sz..][..sz];
+        match a.cell_type() {
+            CellType::U8 => b[0] as f64,
+            CellType::I16 => i16::from_le_bytes(b.try_into().unwrap()) as f64,
+            CellType::I32 => i32::from_le_bytes(b.try_into().unwrap()) as f64,
+            CellType::F32 => f32::from_le_bytes(b.try_into().unwrap()) as f64,
+            CellType::F64 => f64::from_le_bytes(b.try_into().unwrap()),
+        }
+    }
+
+    /// `op` cell by cell through `CellValue::from_f64`: the bytes every
+    /// typed kernel must reproduce, or the error it must return.
+    fn reference(
+        dom: &Minterval,
+        out_ty: CellType,
+        op: BinaryOp,
+        pair: impl Fn(usize) -> (f64, f64),
+    ) -> Result<MDArray> {
+        let n = dom.cell_count() as usize;
+        let mut out = vec![0u8; n * out_ty.size_bytes()];
+        for i in 0..n {
+            let (a, b) = pair(i);
+            CellValue::from_f64(out_ty, apply(op, a, b)?).write(&mut out, i)?;
+        }
+        MDArray::from_bytes(dom.clone(), out_ty, out)
+    }
+
+    /// A 1-D array of `values` (saturated into `ty` as cells are).
+    fn array_of(ty: CellType, values: &[f64]) -> MDArray {
+        let mut bytes = vec![0u8; values.len() * ty.size_bytes()];
+        for (i, &v) in values.iter().enumerate() {
+            CellValue::from_f64(ty, v).write(&mut bytes, i).unwrap();
+        }
+        MDArray::from_bytes(mi(&[(0, values.len() as i64 - 1)]), ty, bytes).unwrap()
+    }
+
+    fn assert_same(got: Result<MDArray>, want: Result<MDArray>, what: &str) {
+        match (got, want) {
+            (Ok(g), Ok(w)) => {
+                assert_eq!(g.cell_type(), w.cell_type(), "{what}");
+                assert_eq!(g.domain(), w.domain(), "{what}");
+                let sz = g.cell_type().size_bytes();
+                let cells = |a: &MDArray| a.bytes().chunks(sz).map(<[u8]>::to_vec).collect();
+                let (gc, wc): (Vec<_>, Vec<_>) = (cells(&g), cells(&w));
+                if let Some(i) = (0..gc.len()).find(|&i| gc[i] != wc[i]) {
+                    panic!("{what}: cell {i} is {:?}, want {:?}", gc[i], wc[i]);
+                }
+            }
+            (Err(ArrayError::DivisionByZero), Err(ArrayError::DivisionByZero)) => {}
+            (g, w) => panic!("{what}: got {g:?}, want {w:?}"),
+        }
+    }
+
+    #[test]
+    fn induced_kernels_match_the_per_cell_reference() {
+        let edge = [
+            -300.5,
+            -1.0,
+            -0.0,
+            0.0,
+            0.5,
+            1.0,
+            2.0,
+            3.7,
+            127.0,
+            128.0,
+            255.0,
+            256.0,
+            4e4,
+            -4e4,
+            3e9,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let nonzero: Vec<f64> = edge.iter().map(|&v| v + 7.25).collect();
+        // every u8 value, more than once
+        let ramp: Vec<f64> = (0..600).map(|i| (i * 7 % 256) as f64).collect();
+        let ramp_nonzero: Vec<f64> = ramp.iter().map(|&v| v.max(1.0)).collect();
+        let scalars = [
+            0.0,
+            -0.0,
+            1.0,
+            -2.5,
+            127.0,
+            127.5,
+            300.0,
+            1e-300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let sets: [&[f64]; 4] = [&edge, &nonzero, &ramp, &ramp_nonzero];
+        for ty in ALL_TYPES {
+            for values in sets {
+                let a = array_of(ty, values);
+                let n = values.len();
+                for op in ALL_OPS {
+                    let out_ty = op.result_type(ty, ty);
+                    for s in scalars {
+                        let what = format!("{ty:?} {op:?} {s} ({n} cells)");
+                        assert_same(
+                            induced_scalar(&a, s, op),
+                            reference(a.domain(), out_ty, op, |i| (cell(&a, i), s)),
+                            &format!("array op scalar: {what}"),
+                        );
+                        assert_same(
+                            scalar_induced(s, &a, op),
+                            reference(a.domain(), out_ty, op, |i| (s, cell(&a, i))),
+                            &format!("scalar op array: {what}"),
+                        );
+                    }
+                    for other in ALL_TYPES {
+                        for divisors in sets.into_iter().filter(|d| d.len() == n) {
+                            let b = array_of(other, divisors);
+                            assert_same(
+                                induced_binary(&a, &b, op),
+                                reference(a.domain(), op.result_type(ty, other), op, |i| {
+                                    (cell(&a, i), cell(&b, i))
+                                }),
+                                &format!("array op array: {ty:?} {op:?} {other:?} ({n} cells)"),
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,37 @@ pub enum CellType {
     F64,
 }
 
+/// Dispatch a [`CellType`] to a monomorphized block: binds the type
+/// alias `$S` to the matching [`Scalar`] implementation and evaluates
+/// `$body` once per variant.
+macro_rules! with_scalar {
+    ($ty:expr, $S:ident, $body:block) => {
+        match $ty {
+            $crate::value::CellType::U8 => {
+                type $S = u8;
+                $body
+            }
+            $crate::value::CellType::I16 => {
+                type $S = i16;
+                $body
+            }
+            $crate::value::CellType::I32 => {
+                type $S = i32;
+                $body
+            }
+            $crate::value::CellType::F32 => {
+                type $S = f32;
+                $body
+            }
+            $crate::value::CellType::F64 => {
+                type $S = f64;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_scalar;
+
 impl CellType {
     /// Size of one cell in bytes.
     pub fn size_bytes(self) -> usize {
@@ -84,14 +115,9 @@ impl CellType {
     /// The result type of arithmetic between two cell types
     /// (standard numeric promotion: widest wins, float beats int).
     pub fn promote(self, other: CellType) -> CellType {
-        use CellType::*;
-        match (self, other) {
-            (F64, _) | (_, F64) => F64,
-            (F32, _) | (_, F32) => F32,
-            (I32, _) | (_, I32) => I32,
-            (I16, _) | (_, I16) => I16,
-            (U8, U8) => U8,
-        }
+        with_scalar!(self, S, {
+            with_scalar!(other, T, { <<S as Promote<T>>::Out as Scalar>::TYPE })
+        })
     }
 
     /// Whether this is a floating-point type.
@@ -220,6 +246,8 @@ impl CellValue {
 /// semantics (f64 widening, saturating narrowing) match `CellValue`
 /// exactly so results are bit-identical to the scalar path.
 pub(crate) trait Scalar: Copy {
+    /// The matching cell type.
+    const TYPE: CellType;
     /// Cell width in bytes ([`CellType::size_bytes`]).
     const SIZE: usize;
     /// Read one cell from a `SIZE`-byte little-endian slice.
@@ -233,6 +261,7 @@ pub(crate) trait Scalar: Copy {
 }
 
 impl Scalar for u8 {
+    const TYPE: CellType = CellType::U8;
     const SIZE: usize = 1;
     #[inline(always)]
     fn from_le(b: &[u8]) -> u8 {
@@ -253,6 +282,7 @@ impl Scalar for u8 {
 }
 
 impl Scalar for i16 {
+    const TYPE: CellType = CellType::I16;
     const SIZE: usize = 2;
     #[inline(always)]
     fn from_le(b: &[u8]) -> i16 {
@@ -273,6 +303,7 @@ impl Scalar for i16 {
 }
 
 impl Scalar for i32 {
+    const TYPE: CellType = CellType::I32;
     const SIZE: usize = 4;
     #[inline(always)]
     fn from_le(b: &[u8]) -> i32 {
@@ -293,6 +324,7 @@ impl Scalar for i32 {
 }
 
 impl Scalar for f32 {
+    const TYPE: CellType = CellType::F32;
     const SIZE: usize = 4;
     #[inline(always)]
     fn from_le(b: &[u8]) -> f32 {
@@ -306,13 +338,22 @@ impl Scalar for f32 {
     fn to_f64(self) -> f64 {
         self as f64
     }
+    /// A NaN comes out quiet, as the hardware narrowing makes it. The
+    /// compiler may fold a kernel's `cell as f64 as f32` into a move that
+    /// keeps a signaling NaN cell as is, so the quiet bit is set here.
     #[inline(always)]
     fn from_f64(v: f64) -> f32 {
-        v as f32
+        let r = v as f32;
+        if r.is_nan() {
+            f32::from_bits(r.to_bits() | 0x0040_0000)
+        } else {
+            r
+        }
     }
 }
 
 impl Scalar for f64 {
+    const TYPE: CellType = CellType::F64;
     const SIZE: usize = 8;
     #[inline(always)]
     fn from_le(b: &[u8]) -> f64 {
@@ -332,36 +373,37 @@ impl Scalar for f64 {
     }
 }
 
-/// Dispatch a [`CellType`] to a monomorphized block: binds the type
-/// alias `$S` to the matching [`Scalar`] implementation and evaluates
-/// `$body` once per variant.
-macro_rules! with_scalar {
-    ($ty:expr, $S:ident, $body:block) => {
-        match $ty {
-            $crate::value::CellType::U8 => {
-                type $S = u8;
-                $body
-            }
-            $crate::value::CellType::I16 => {
-                type $S = i16;
-                $body
-            }
-            $crate::value::CellType::I32 => {
-                type $S = i32;
-                $body
-            }
-            $crate::value::CellType::F32 => {
-                type $S = f32;
-                $body
-            }
-            $crate::value::CellType::F64 => {
-                type $S = f64;
-                $body
-            }
+/// The promotion rule of cell arithmetic, the one place it is written:
+/// `Out` is the cell type of arithmetic between `Self` and `T` cells.
+/// [`CellType::promote`] reads it at run time, and typed kernels over
+/// two cell types read it at compile time.
+pub(crate) trait Promote<T>: Scalar {
+    /// The promoted cell type.
+    type Out: Scalar;
+}
+
+/// Implement [`Promote`] for every pair of the listed types: of two
+/// types, the later one wins.
+macro_rules! later_wins {
+    () => {};
+    ($t:ty $(, $wider:ty)*) => {
+        impl Promote<$t> for $t {
+            type Out = $t;
         }
+        $(
+            impl Promote<$wider> for $t {
+                type Out = $wider;
+            }
+            impl Promote<$t> for $wider {
+                type Out = $wider;
+            }
+        )*
+        later_wins!($($wider),*);
     };
 }
-pub(crate) use with_scalar;
+
+// Widest wins, float beats int.
+later_wins!(u8, i16, i32, f32, f64);
 
 impl fmt::Display for CellValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -17,14 +17,21 @@ use heaven_array::{Condenser, Frame, MDArray, Minterval, ObjectId};
 pub type Visitor<'a> = dyn FnMut(&Minterval, &MDArray) -> heaven_array::Result<()> + 'a;
 
 /// Call `f(clip, src)` with `clip` = `src`'s domain ∩ `region`, if they
-/// meet (a tile inside the region is its own clip: nothing to build).
-pub fn visit_clip(region: &Minterval, src: &MDArray, f: &mut Visitor) -> heaven_array::Result<()> {
+/// meet. A tile inside the region is its own clip; an edge tile's clip
+/// is built in `scratch`, so a caller visiting many tiles reuses one
+/// buffer.
+pub fn visit_clip(
+    region: &Minterval,
+    src: &MDArray,
+    scratch: &mut Minterval,
+    f: &mut Visitor,
+) -> heaven_array::Result<()> {
     if region.contains(src.domain()) {
-        return f(src.domain(), src);
-    }
-    match src.domain().intersection(region) {
-        Some(clip) => f(&clip, src),
-        None => Ok(()),
+        f(src.domain(), src)
+    } else if src.domain().intersect_into(region, scratch) {
+        f(scratch, src)
+    } else {
+        Ok(())
     }
 }
 

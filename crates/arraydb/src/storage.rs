@@ -371,8 +371,9 @@ impl ArrayDb {
             let tile_ids = meta.tiles_intersecting(&target);
             (target, tile_ids)
         };
+        let mut clip = target.clone();
         for tid in tile_ids {
-            visit_clip(&target, &self.read_tile(tid)?.data, f)?;
+            visit_clip(&target, &self.read_tile(tid)?.data, &mut clip, f)?;
         }
         Ok(())
     }

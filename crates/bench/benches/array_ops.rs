@@ -1,9 +1,13 @@
 //! Microbenchmarks of the array substrate: tiling, linearization orders,
-//! trims and condensers. These are the CPU-side hot paths of export and
-//! retrieval (the device costs are simulated and excluded here).
+//! trims, condensers and induced operations. These are the CPU-side hot
+//! paths of export and retrieval (the device costs are simulated and
+//! excluded here).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use heaven_array::{trim, CellType, Condenser, Fold, LinearOrder, MDArray, Minterval, Tiling};
+use heaven_array::{
+    induced_scalar, trim, BinaryOp, CellType, Condenser, Fold, LinearOrder, MDArray, Minterval,
+    Tiling,
+};
 
 fn mi(b: &[(i64, i64)]) -> Minterval {
     Minterval::new(b).unwrap()
@@ -158,6 +162,28 @@ fn bench_condense(c: &mut Criterion) {
     }
 }
 
+/// Induced ops of the `warm_rasql` query mix on ~5 % boxes: a u8 mask
+/// (`s[box] > 127`, 10.4k cells) and the f32 Kelvin-to-Fahrenheit chain
+/// (`(c[box] - 273.15) * 1.8 + 32`, 13k cells).
+fn bench_induced(c: &mut Criterion) {
+    let sat = MDArray::generate(mi(&[(0, 101), (0, 101)]), CellType::U8, |p| {
+        ((p.coord(0) * 37 + p.coord(1) * 11) % 256) as f64
+    });
+    c.bench_function("ops/induced u8 > scalar", |b| {
+        b.iter(|| black_box(induced_scalar(black_box(&sat), 127.0, BinaryOp::Gt).unwrap()))
+    });
+    let climate = MDArray::generate(mi(&[(0, 7), (0, 40), (0, 40)]), CellType::F32, |p| {
+        250.0 + (p.coord(0) * 3 + p.coord(1) + p.coord(2)) as f64 / 4.0
+    });
+    c.bench_function("ops/induced f32 chain", |b| {
+        b.iter(|| {
+            let k = induced_scalar(black_box(&climate), 273.15, BinaryOp::Sub).unwrap();
+            let k = induced_scalar(&k, 1.8, BinaryOp::Mul).unwrap();
+            black_box(induced_scalar(&k, 32.0, BinaryOp::Add).unwrap())
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_tiling,
@@ -165,6 +191,7 @@ criterion_group!(
     bench_trim_and_condense,
     bench_patch,
     bench_patch_tiles,
-    bench_condense
+    bench_condense,
+    bench_induced
 );
 criterion_main!(benches);

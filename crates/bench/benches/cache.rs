@@ -1,5 +1,6 @@
 //! Benchmarks of the cache hierarchy: super-tile cache under each eviction
-//! policy, and the memory tile cache, including evicting puts into a full
+//! policy, and the memory tile cache, including a warm query's 100-tile
+//! probe (batched and one `get` at a time) and evicting puts into a full
 //! cache at 1k, 4k and 16k resident tiles (the default 64 MiB tile cache
 //! holds ~16k 4 KiB tiles).
 
@@ -53,6 +54,40 @@ fn bench_tile_cache(c: &mut Criterion) {
     });
 }
 
+/// A warm query's tile probe: 100 distinct resident ids of a 1024-tile
+/// cache, through one `get_many` and through 100 single `get`s.
+fn bench_tile_probe(c: &mut Criterion) {
+    let dom = Minterval::new(&[(0, 31), (0, 31)]).unwrap();
+    let cache = TileCache::new(1024 * 4096);
+    for id in 0..1024u64 {
+        cache.put(Tile::new(id, 1, MDArray::zeros(dom.clone(), CellType::F32)));
+    }
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut ids: Vec<u64> = Vec::new();
+    while ids.len() < 100 {
+        let id = rng.gen_range(0..1024u64);
+        if !ids.contains(&id) {
+            ids.push(id);
+        }
+    }
+    let mut slots = vec![None; ids.len()];
+    c.bench_function("tile_cache/get_many 100 of 1024 resident", |b| {
+        b.iter(|| {
+            cache.get_many(black_box(&ids), &mut slots);
+            black_box(slots.iter().flatten().count())
+        })
+    });
+    c.bench_function("tile_cache/get 100 of 1024 resident", |b| {
+        b.iter(|| {
+            for (slot, &id) in slots.iter_mut().zip(black_box(&ids)) {
+                *slot = cache.get(id);
+            }
+            black_box(slots.iter().flatten().count())
+        })
+    });
+    assert_eq!(cache.stats().misses, 0, "every probed tile stays resident");
+}
+
 /// Evicting puts per timed iteration of [`bench_evicting_put`].
 const EVICTING_PUTS: u64 = 5000;
 
@@ -87,6 +122,7 @@ criterion_group!(
     benches,
     bench_st_cache,
     bench_tile_cache,
+    bench_tile_probe,
     bench_evicting_put
 );
 criterion_main!(benches);

@@ -12,10 +12,18 @@
 //! owning `capacity / N` bytes, so `used() <= capacity()` always holds and
 //! time blocked on a busy stripe is recorded in `cache.shard_lock_wait_s`.
 //! Each shard picks victims from a lazy min-heap of `(rank, id)`
-//! (`Entry::rank`): puts, and hits that move a rank, push the new rank;
-//! eviction pops until a rank still matches a live entry — amortised
-//! O(log n), no scan under the lock. Eviction and admission (with the
-//! super-tile cache's disk charge and trace events) run under the lock.
+//! (`Entry::rank`). A put pushes the new entry's rank; a hit pushes only
+//! a rank that fell (cost-aware with a negative refetch cost), so every
+//! live entry keeps a heap item at or below its rank. Eviction pops
+//! `(rank, id)`: a live entry still at that rank is the victim, a live
+//! entry ranked higher since is requeued at its current rank, and any
+//! other item is dropped. Ranks end in a unique per-shard stamp, so the
+//! victim is exactly the least-ranked live entry — amortised O(log n), no
+//! scan under the lock, and no heap traffic on a hit that raises a rank.
+//! Eviction and admission (with the super-tile cache's disk charge and
+//! trace events) run under the lock. `TileCache::get_many` probes a batch
+//! of ids taking each stripe lock once and bumping the hit counters once,
+//! with the same outcome and recency stamps as the same `get`s in order.
 
 use crate::supertile::SuperTileId;
 use bytes::Bytes;
@@ -27,6 +35,7 @@ use parking_lot::{Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Eviction strategy of the super-tile cache.
@@ -206,10 +215,36 @@ impl CacheMetrics {
     }
 }
 
+/// The Fibonacci-hash multiplier (2^64 / golden ratio) both id hashes use.
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Fibonacci-hash shard index for an id among `n` (power-of-two) shards.
 #[inline]
 fn shard_index(id: u64, n: usize) -> usize {
-    ((id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize) & (n - 1)
+    ((id.wrapping_mul(FIB) >> 33) as usize) & (n - 1)
+}
+
+/// The hasher of a shard's id-keyed table: one Fibonacci multiply, its
+/// high half folded into the low bits the table indexes by (a SipHash
+/// round per probe buys nothing for integer ids).
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("cache ids hash through write_u64")
+    }
+
+    #[inline]
+    fn write_u64(&mut self, id: u64) {
+        let p = id.wrapping_mul(FIB);
+        self.0 = p ^ (p >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// An eviction rank: the live entry with the least rank is the victim.
@@ -265,10 +300,10 @@ impl<V> Entry<V> {
 struct Shard<V> {
     capacity: u64,
     used: u64,
-    entries: HashMap<u64, Entry<V>>,
-    /// Lazy-deletion min-heap of `(rank, id)`. An item is live while it
-    /// equals its entry's current rank; stale items are dropped when
-    /// popped.
+    entries: HashMap<u64, Entry<V>, BuildHasherDefault<IdHasher>>,
+    /// Lazy min-heap of `(rank, id)`: every live entry has an item at or
+    /// below its current rank (see the module doc for how pops treat
+    /// the rest).
     heap: BinaryHeap<Reverse<(Rank, u64)>>,
     counter: u64,
 }
@@ -278,7 +313,7 @@ impl<V> Shard<V> {
         Shard {
             capacity,
             used: 0,
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             heap: BinaryHeap::new(),
             counter: 0,
         }
@@ -295,6 +330,30 @@ impl<V> Shard<V> {
                 .map(|(&id, e)| Reverse((e.rank(policy), id)));
             self.heap = live.collect();
         }
+    }
+
+    /// Look up `id`: on a hit, stamp its recency and count, run `hit` on
+    /// it, and push its rank only if that fell. Returns `hit`'s result
+    /// and the entry's size.
+    fn probe<R>(
+        &mut self,
+        policy: EvictionPolicy,
+        id: u64,
+        hit: impl FnOnce(&Entry<V>) -> R,
+    ) -> Option<(R, u64)> {
+        self.counter += 1;
+        let now = self.counter;
+        let e = self.entries.get_mut(&id)?;
+        let old = e.rank(policy);
+        e.last_access = now;
+        e.access_count += 1;
+        let rank = e.rank(policy);
+        let size = e.size;
+        let r = hit(e);
+        if rank < old {
+            self.push(policy, rank, id);
+        }
+        Some((r, size))
     }
 
     fn remove(&mut self, id: u64) -> Option<Entry<V>> {
@@ -332,35 +391,68 @@ impl<V> Stripes<V> {
     /// Lock the stripe owning `id`, folding any blocked host time into
     /// `cache.shard_lock_wait_s`.
     fn lock(&self, id: u64) -> MutexGuard<'_, Shard<V>> {
-        let (guard, wait_s) = self.shards[shard_index(id, self.shards.len())].lock_timed();
+        self.lock_stripe(shard_index(id, self.shards.len()))
+    }
+
+    /// Lock stripe `s`, folding any blocked host time into
+    /// `cache.shard_lock_wait_s`.
+    fn lock_stripe(&self, s: usize) -> MutexGuard<'_, Shard<V>> {
+        let (guard, wait_s) = self.shards[s].lock_timed();
         if wait_s > 0.0 {
             self.metrics.lock_wait_s.add(wait_s);
         }
         guard
     }
 
-    /// Look up `id`, counting the hit or miss; on a hit, refresh its
-    /// rank and run `hit` on the entry under the stripe lock.
+    /// Look up `id`, counting the hit or miss; on a hit, stamp its
+    /// recency and run `hit` on the entry under the stripe lock.
     fn get<R>(&self, id: u64, hit: impl FnOnce(&Entry<V>) -> R) -> Option<R> {
-        let mut shard = self.lock(id);
-        shard.counter += 1;
-        let now = shard.counter;
-        let Some(e) = shard.entries.get_mut(&id) else {
+        let found = self.lock(id).probe(self.policy, id, hit);
+        let Some((r, size)) = found else {
             self.metrics.misses.inc();
             return None;
         };
-        let old = e.rank(self.policy);
-        e.last_access = now;
-        e.access_count += 1;
-        let rank = e.rank(self.policy);
         self.metrics.hits.inc();
-        self.metrics.bytes_served.add(e.size);
-        let r = hit(e);
-        // FIFO ranks, and cost-aware ranks at zero cost, never move
-        if rank != old {
-            shard.push(self.policy, rank, id);
-        }
+        self.metrics.bytes_served.add(size);
         Some(r)
+    }
+
+    /// [`Self::get`] over a batch: `out[i]` becomes `get(ids[i])`. Each
+    /// stripe is locked at most once and probes its ids in call order,
+    /// so every stripe stamps the same recency sequence as those `get`s
+    /// would; the hit, miss and byte counters are added once.
+    fn get_many<R>(&self, ids: &[u64], out: &mut [Option<R>], mut hit: impl FnMut(&Entry<V>) -> R) {
+        assert_eq!(ids.len(), out.len(), "one slot per id");
+        let (mut hits, mut bytes) = (0u64, 0u64);
+        let mut probe = |shard: &mut Shard<V>, i: usize| {
+            out[i] = shard.probe(self.policy, ids[i], &mut hit).map(|(r, size)| {
+                hits += 1;
+                bytes += size;
+                r
+            });
+        };
+        // positions grouped by stripe, in call order within each
+        let n = self.shards.len();
+        let mut order: Vec<(usize, usize)> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| (shard_index(id, n), i))
+            .collect();
+        order.sort_unstable();
+        for run in order.chunk_by(|a, b| a.0 == b.0) {
+            let mut shard = self.lock_stripe(run[0].0);
+            run.iter().for_each(|&(_, i)| probe(&mut shard, i));
+        }
+        let misses = ids.len() as u64 - hits;
+        for (counter, n) in [
+            (&self.metrics.hits, hits),
+            (&self.metrics.misses, misses),
+            (&self.metrics.bytes_served, bytes),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
     }
 
     /// Admit `value` as `size` bytes, evicting the least-ranked entries
@@ -385,14 +477,19 @@ impl<V> Stripes<V> {
             let Some(Reverse((rank, victim))) = shard.heap.pop() else {
                 return;
             };
-            if shard
-                .entries
-                .get(&victim)
-                .is_some_and(|e| e.rank(self.policy) == rank)
-            {
-                let e = shard.remove(victim).expect("live victim");
-                self.metrics.evictions.inc();
-                evict(victim, e.size);
+            let Some(now) = shard.entries.get(&victim).map(|e| e.rank(self.policy)) else {
+                continue;
+            };
+            match now.cmp(&rank) {
+                // hits raised the rank since this item was queued
+                std::cmp::Ordering::Greater => shard.heap.push(Reverse((now, victim))),
+                std::cmp::Ordering::Equal => {
+                    let e = shard.remove(victim).expect("live victim");
+                    self.metrics.evictions.inc();
+                    evict(victim, e.size);
+                }
+                // a lower item of this entry is still queued
+                std::cmp::Ordering::Less => {}
             }
         }
         admit();
@@ -656,6 +753,13 @@ impl TileCache {
         self.core.get(id, |e| Arc::clone(&e.value))
     }
 
+    /// [`Self::get`] for a batch of ids: `slots[i]` becomes
+    /// `get(ids[i])`, with the same hits, stats and recency stamps, but
+    /// each stripe is locked once and the counters are bumped once.
+    pub fn get_many(&self, ids: &[TileId], slots: &mut [Option<Arc<Tile>>]) {
+        self.core.get_many(ids, slots, |e| Arc::clone(&e.value));
+    }
+
     /// Insert a tile, evicting LRU entries as needed. The payload of a
     /// tile handed in by value is frozen into shared form (O(1)), so a
     /// caller that clones a hit's payload gets a refcount bump too.
@@ -791,6 +895,59 @@ mod tests {
             assert_eq!(c.stats().evictions, 0);
             c.put(100, payload(1 << 20, 0), 1.0); // evicts all 8 from the heap
             assert_eq!((c.stats().evictions, c.used()), (8, 1 << 20), "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn get_many_matches_the_same_gets_in_order() {
+        let tile = |id: TileId, cells: i64| {
+            let dom = Minterval::new(&[(0, cells - 1)]).unwrap();
+            Tile::new(id, 1, MDArray::zeros(dom, CellType::U8))
+        };
+        let mut seed = 7u64;
+        let mut next = |n: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % n
+        };
+        for shards in [1, 4] {
+            let (many, twin) = (
+                TileCache::with_shards(4000, shards),
+                TileCache::with_shards(4000, shards),
+            );
+            for round in 0..60 {
+                // a batch over 48 ids, some repeated, some never cached
+                let ids: Vec<TileId> = (0..1 + next(24)).map(|_| next(48)).collect();
+                let mut slots = vec![None; ids.len()];
+                many.get_many(&ids, &mut slots);
+                for (&id, slot) in ids.iter().zip(&slots) {
+                    let got = twin.get(id).map(|t| t.id);
+                    assert_eq!(
+                        slot.as_ref().map(|t| t.id),
+                        got,
+                        "{shards} shards, round {round}"
+                    );
+                }
+                assert_eq!(many.stats(), twin.stats());
+                // puts that evict by the recency both probes stamped
+                for _ in 0..3 {
+                    let (id, cells) = (next(40), 50 + next(150) as i64);
+                    many.put(tile(id, cells));
+                    twin.put(tile(id, cells));
+                }
+                assert_eq!(many.used(), twin.used());
+                assert_eq!(many.stats(), twin.stats());
+            }
+            assert!(many.stats().evictions > 0 && many.stats().hits > 0);
+            let all: Vec<TileId> = (0..48).collect();
+            let mut slots = vec![None; all.len()];
+            many.get_many(&all, &mut slots);
+            let resident: Vec<bool> = all.iter().map(|&id| twin.get(id).is_some()).collect();
+            assert_eq!(
+                slots.iter().map(Option::is_some).collect::<Vec<_>>(),
+                resident
+            );
         }
     }
 

@@ -114,11 +114,12 @@ struct Target {
 }
 
 /// Deliver a target's staged `slots` in grid order: `f(clip, tile)` once
-/// per tile that meets the region.
+/// per tile that meets the region, every edge clip in one buffer.
 fn deliver(target: &Target, slots: &[Option<Arc<Tile>>], f: &mut Visitor) -> Result<()> {
+    let mut clip = target.region.clone();
     for (slot, &tid) in slots.iter().zip(&target.tiles) {
         let t = slot.as_ref().ok_or(HeavenError::TileUnlocated(tid))?;
-        visit_clip(&target.region, &t.data, f)?;
+        visit_clip(&target.region, &t.data, &mut clip, f)?;
     }
     Ok(())
 }
@@ -1014,14 +1015,31 @@ impl ConcurrentHeaven {
     }
 
     /// Give every tile of `targets` a slot, in target then grid order.
-    /// Tile-cache hits and DBMS tiles fill theirs at once; exported tiles
-    /// become the pass's [`Misses`].
+    /// One [`TileCache::get_many`] probes every tile; then, for the
+    /// misses only, DBMS tiles are read and fill their slots at once
+    /// (after every probe, so a pass never evicts a tile it is about to
+    /// hit), and exported tiles become the pass's [`Misses`].
     fn plan(&self, targets: &[Target]) -> Result<(Vec<Option<Arc<Tile>>>, Misses)> {
-        let mut slots = vec![None; targets.iter().map(|t| t.tiles.len()).sum()];
+        let joined: Vec<TileId>;
+        let tids = match targets {
+            [target] => &target.tiles,
+            _ => {
+                joined = targets.iter().flat_map(|t| &t.tiles).copied().collect();
+                &joined
+            }
+        };
+        let mut slots = vec![None; tids.len()];
+        self.tile_cache.get_many(tids, &mut slots);
         let mut misses = Misses::default();
-        for (i, &tid) in targets.iter().flat_map(|t| &t.tiles).enumerate() {
-            if let Some(t) = self.tile_cache.get(tid) {
-                slots[i] = Some(t);
+        // DBMS tiles read by this pass, so a tile that several targets
+        // miss is read once
+        let mut read: HashMap<TileId, Arc<Tile>> = HashMap::new();
+        for (i, &tid) in tids.iter().enumerate() {
+            if slots[i].is_some() {
+                continue;
+            }
+            if let Some(t) = read.get(&tid) {
+                slots[i] = Some(Arc::clone(t));
                 continue;
             }
             let mut adb = self.adb.lock();
@@ -1030,7 +1048,8 @@ impl ConcurrentHeaven {
                     let t = Arc::new(adb.read_tile(tid)?);
                     drop(adb);
                     self.tile_cache.put(Arc::clone(&t));
-                    slots[i] = Some(t);
+                    slots[i] = Some(Arc::clone(&t));
+                    read.insert(tid, t);
                 }
                 TileLocation::Exported => {
                     drop(adb);

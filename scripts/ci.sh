@@ -86,6 +86,12 @@ cargo bench --workspace --no-run
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
+echo "==> array kernels against their references (release)"
+# The typed kernels must write the bytes of their per-cell references
+# (NaN bits included), and optimization can fold conversions the debug
+# build keeps, so the array tests run optimized too.
+cargo test -q --release -p heaven-array
+
 echo "==> concurrency stress + invariants (release)"
 # The sharded-cache stress and batching invariants are timing-sensitive;
 # run them optimized, as the bench does.
@@ -151,6 +157,17 @@ echo "==> no victim scan in the caches"
 # scan under the shard lock. The trailing #[cfg(test)] block is exempt.
 if sed '/^#\[cfg(test)\]/,$d' crates/core/src/cache.rs | grep -n 'min_by(\|min_by_key('; then
   echo "victim scan in crates/core/src/cache.rs: pop the shard's victim heap"
+  exit 1
+fi
+
+echo "==> one tile-cache probe pass per staging pass"
+# ConcurrentHeaven::plan probes all of a pass's tiles with one
+# TileCache::get_many (each stripe locked once, counters bumped once); a
+# single tile_cache.get( in the non-test code of concurrent.rs brings
+# back a lock and a counter bump per tile. The trailing #[cfg(test)]
+# block is exempt.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/concurrent.rs | grep -n 'tile_cache\.get('; then
+  echo "tile_cache.get( in crates/core/src/concurrent.rs: probe through get_many"
   exit 1
 fi
 
