@@ -47,12 +47,12 @@
 //! so the simulated makespan of N concurrent sessions is the slowest
 //! lane, not the sum. The single owner runs on the shared clock itself.
 //!
-//! Under fault injection the batcher is also the recovery ladder: a
-//! transiently failed fetch is *requeued* into the next drain iteration
-//! (`sched.requeued_fetches`) with its coalesced waiters intact, a copy
-//! that exhausts its retries or fails checksum verification fails over
-//! to the replica, and only when every copy is gone do the waiters get a
-//! typed [`HeavenError::MediaLost`].
+//! Under fault injection the batcher steps the same recovery ladder as
+//! the direct path ([`crate::recovery::Ladder`]): a fetch the ladder
+//! wants read again — a retry, or the replica copy — is *requeued* into
+//! the next drain iteration (`sched.requeued_fetches`) with its coalesced
+//! waiters intact, and the ladder's typed error (such as
+//! [`HeavenError::MediaLost`]) reaches every waiter.
 //!
 //! The batcher is also where the trace model turns **causal across
 //! sessions**: every tertiary fetch runs inside a `heaven.st_fetch` span
@@ -73,10 +73,10 @@ use crate::cache::{CacheStats, SuperTileCache, TileCache};
 use crate::catalog::SuperTileCatalog;
 use crate::config::{HeavenConfig, PrefetchPolicy};
 use crate::error::{HeavenError, Result};
-use crate::recovery::{read_with_recovery, RecoveryMetrics};
+use crate::recovery::{read_with_recovery, Ladder, RecoveryMetrics, Step};
 use crate::scheduler::{count_exchanges, fetch_order, plan_drive_rounds, FetchRequest};
 use crate::sizing::optimal_supertile_size;
-use crate::supertile::{checksum64, decode_member, SuperTileId, SuperTileMeta};
+use crate::supertile::{decode_member, SuperTileId, SuperTileMeta};
 use crate::system::HeavenStats;
 use bytes::Bytes;
 use heaven_array::mdd::copy_region;
@@ -84,7 +84,7 @@ use heaven_array::{CellType, Codec, MDArray, Minterval, ObjectId, Tile, TileId};
 use heaven_arraydb::{visit_clip, ArrayDb, TileLocation, Visitor};
 use heaven_hsm::{BlockAddress, DirectStore, HsmError};
 use heaven_obs::{Counter, FloatCounter, Histogram, MetricsRegistry, TraceBus};
-use heaven_tape::{DiskProfile, MediumId, SimClock, TapeError, TapeLibrary, TapeStats};
+use heaven_tape::{DiskProfile, MediumId, SimClock, TapeLibrary, TapeStats};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -235,16 +235,13 @@ impl HeavenMetrics {
     }
 }
 
-/// A queued tertiary fetch plus its recovery state: which attempt this
-/// is, whether it already failed over to the second copy, and the
-/// catalog's replica/checksum for that failover.
+/// A queued tertiary fetch: its recovery ladder plus the batcher's
+/// bookkeeping.
 #[derive(Debug, Clone, Copy)]
 struct PendingFetch {
-    req: FetchRequest,
-    attempt: u32,
-    on_replica: bool,
-    replica: Option<BlockAddress>,
-    checksum: Option<u64>,
+    ladder: Ladder,
+    /// Simulated seconds the ladder asked to wait before this read.
+    backoff_s: f64,
     /// Shared-clock instant the first waiter enqueued this super-tile
     /// (survives requeues: queue time accumulates across the ladder).
     enqueue_s: f64,
@@ -255,21 +252,12 @@ struct PendingFetch {
     stalled: bool,
 }
 
-/// Why a batched fetch ultimately failed (cloned to every coalesced
-/// waiter, then mapped to a [`HeavenError`]).
-#[derive(Debug, Clone)]
-enum FetchFailure {
-    /// Every archive copy was unreadable or corrupt.
-    MediaLost(SuperTileId),
-    /// A non-recoverable error (bad address, codec failure, ...).
-    Other(String),
-}
-
-impl FetchFailure {
-    fn into_error(self) -> HeavenError {
-        match self {
-            FetchFailure::MediaLost(st) => HeavenError::MediaLost { st },
-            FetchFailure::Other(m) => HeavenError::Config(format!("batched fetch failed: {m}")),
+impl PendingFetch {
+    /// The read the scheduler orders: the copy the ladder reads next.
+    fn req(&self) -> FetchRequest {
+        FetchRequest {
+            st: self.ladder.st(),
+            addr: self.ladder.addr(),
         }
     }
 }
@@ -294,7 +282,7 @@ struct Served {
 }
 
 /// How one batched fetch ended, as every coalesced waiter sees it.
-type Outcome = std::result::Result<Served, FetchFailure>;
+type Outcome = Result<Served>;
 
 /// One in-flight tertiary fetch; every session waiting on the same
 /// super-tile holds the same `Arc<Inflight>` and reads the same outcome.
@@ -375,7 +363,7 @@ impl FetchBatcher {
             let mut joined = false;
             let entries = reqs
                 .into_iter()
-                .map(|mut p| match map.get(&p.req.st) {
+                .map(|mut p| match map.get(&p.ladder.st()) {
                     Some(e) => {
                         h.metrics.coalesced_fetches.inc();
                         joined |= e.epoch == q.epoch;
@@ -386,7 +374,7 @@ impl FetchBatcher {
                             epoch: q.epoch,
                             ..Inflight::default()
                         });
-                        map.insert(p.req.st, Arc::clone(&e));
+                        map.insert(p.ladder.st(), Arc::clone(&e));
                         p.enqueue_s = enqueue_s;
                         q.pending.push(p);
                         joined = true;
@@ -483,11 +471,10 @@ impl FetchBatcher {
         self.arrived.notify_all();
     }
 
-    /// Stage `reqs` in one scheduled sweep and resolve the waiters.
-    /// Transient failures requeue (with their coalesced waiters intact —
-    /// the inflight entry survives); failures resolve the affected
-    /// entries (nobody is left parked on a fetch that will never
-    /// complete).
+    /// Stage `reqs` in one scheduled sweep and step each read's ladder.
+    /// A read the ladder wants again requeues (with its coalesced waiters
+    /// intact — the inflight entry survives); a verdict resolves the
+    /// entry (nobody is left parked on a fetch that will never complete).
     fn drain_all(&self, h: &ConcurrentHeaven, mut reqs: Vec<PendingFetch>) {
         let mut store = h.store.lock();
         // Stall watchdog: each drain pass is one batching window; a fetch
@@ -509,27 +496,25 @@ impl FetchBatcher {
                     "sched.stall",
                     now_s,
                     &[
-                        ("st", p.req.st.into()),
-                        ("medium", p.req.addr.medium.into()),
+                        ("st", p.ladder.st().into()),
+                        ("medium", p.ladder.addr().medium.into()),
                         ("drains", (p.drains as u64).into()),
                         ("waited_s", (now_s - p.enqueue_s).max(0.0).into()),
-                        ("replica", (p.on_replica as u64).into()),
+                        ("replica", (p.ladder.on_replica() as u64).into()),
                     ],
                 );
             }
         }
-        // Retried requests owe their backoff before re-reading; the whole
-        // batch backs off in parallel, so one charge (the largest) covers
-        // the drain.
-        let max_attempt = reqs.iter().map(|p| p.attempt).max().unwrap_or(0);
-        if max_attempt > 0 {
-            store
-                .clock()
-                .advance_s(h.config.retry.backoff_s(max_attempt));
-        }
+        // Requeued requests owe the backoff their ladder stated before
+        // re-reading; the whole batch backs off in parallel, so one charge
+        // (the largest) covers the drain.
+        store
+            .clock()
+            .advance_s(reqs.iter().map(|p| p.backoff_s).fold(0.0, f64::max));
+        let max_attempt = reqs.iter().map(|p| p.ladder.attempt()).max().unwrap_or(0);
         let by_st: HashMap<SuperTileId, PendingFetch> =
-            reqs.iter().map(|p| (p.req.st, *p)).collect();
-        let plain: Vec<FetchRequest> = reqs.iter().map(|p| p.req).collect();
+            reqs.iter().map(|p| (p.ladder.st(), *p)).collect();
+        let plain: Vec<FetchRequest> = reqs.iter().map(PendingFetch::req).collect();
         let mounted = store.library().mounted_media();
         let order = fetch_order(&plain, h.config.scheduling, &mounted);
         h.metrics.batches.inc();
@@ -574,36 +559,9 @@ impl FetchBatcher {
             store.clock().advance_to_s(t0 + window);
             let done_s = store.clock().now_s();
             for (r, res) in results {
-                let p = by_st.get(&r.st).copied().unwrap_or(PendingFetch {
-                    req: r,
-                    attempt: 0,
-                    on_replica: false,
-                    replica: None,
-                    checksum: None,
-                    enqueue_s: t0,
-                    drains: 1,
-                    stalled: false,
-                });
-                match res {
-                    Ok(raw) => {
-                        if let Some(sum) = p.checksum {
-                            if checksum64(&raw) != sum {
-                                // Persistent corruption on this copy: no
-                                // same-copy retry, straight to the replica.
-                                h.recovery.checksum_failures.inc();
-                                h.bus.event(
-                                    "hsm.checksum_failure",
-                                    done_s,
-                                    &[
-                                        ("st", r.st.into()),
-                                        ("medium", r.addr.medium.into()),
-                                        ("replica", (p.on_replica as u64).into()),
-                                    ],
-                                );
-                                self.fail_over(h, p);
-                                continue;
-                            }
-                        }
+                let mut p = by_st[&r.st];
+                match p.ladder.step(res, done_s, &h.recovery, &h.bus) {
+                    Step::Verified(raw) => {
                         // Decompose the fetch's latency: queue =
                         // enqueue → this round's staging start (backoffs
                         // and earlier passes included), service =
@@ -626,61 +584,17 @@ impl FetchBatcher {
                                     }),
                                 );
                             }
-                            Err(e) => self.resolve(r.st, Err(FetchFailure::Other(e.to_string()))),
+                            Err(e) => self.resolve(r.st, Err(e)),
                         }
                     }
-                    Err(HsmError::Tape(te)) if te.is_transient() => {
-                        if matches!(te, TapeError::DriveFailed { .. }) {
-                            // The next drain's mount picks a healthy drive.
-                            h.recovery.failovers.inc();
-                        }
-                        if p.attempt < h.config.retry.max_retries {
-                            h.recovery.retries.inc();
-                            self.requeue(
-                                h,
-                                PendingFetch {
-                                    attempt: p.attempt + 1,
-                                    ..p
-                                },
-                            );
-                        } else {
-                            self.fail_over(h, p);
-                        }
+                    Step::ReadAgain { backoff_s } => {
+                        self.requeue(h, PendingFetch { backoff_s, ..p })
                     }
-                    Err(e) => self.resolve(r.st, Err(FetchFailure::Other(e.to_string()))),
+                    Step::Failed(e) => self.resolve(r.st, Err(e)),
                 }
             }
         }
         h.bus.span_end(batch_span, store.clock().now_s());
-    }
-
-    /// Move a request to its second archive copy, or declare the
-    /// super-tile lost when there is none (or the replica failed too).
-    fn fail_over(&self, h: &ConcurrentHeaven, p: PendingFetch) {
-        if !p.on_replica {
-            if let Some(r) = p.replica {
-                self.requeue(
-                    h,
-                    PendingFetch {
-                        req: FetchRequest {
-                            st: p.req.st,
-                            addr: r,
-                        },
-                        attempt: 0,
-                        on_replica: true,
-                        ..p
-                    },
-                );
-                return;
-            }
-        }
-        h.recovery.media_lost.inc();
-        h.bus.event(
-            "hsm.media_lost",
-            h.clock.now_s(),
-            &[("st", p.req.st.into())],
-        );
-        self.resolve(p.req.st, Err(FetchFailure::MediaLost(p.req.st)));
     }
 
     /// Put a request back in the queue for the next drain iteration. The
@@ -692,9 +606,9 @@ impl FetchBatcher {
             "sched.requeue",
             h.clock.now_s(),
             &[
-                ("st", p.req.st.into()),
-                ("attempt", (p.attempt as u64).into()),
-                ("replica", (p.on_replica as u64).into()),
+                ("st", p.ladder.st().into()),
+                ("attempt", (p.ladder.attempt() as u64).into()),
+                ("replica", (p.ladder.on_replica() as u64).into()),
             ],
         );
         self.queue.lock().requeued.push(p);
@@ -1274,16 +1188,8 @@ impl ConcurrentHeaven {
         let e = self.catalog.entry(st)?;
         let mut store = self.store.lock();
         let t0 = store.clock().now_s();
-        let raw = read_with_recovery(
-            &mut store,
-            st,
-            first,
-            e.copies().find(|&c| c != first),
-            Some(e.checksum),
-            &self.config.retry,
-            &self.recovery,
-            &self.bus,
-        )?;
+        let ladder = Ladder::new(st, first, e.copies().find(|&c| c != first), e.checksum);
+        let raw = read_with_recovery(&mut store, ladder, &self.recovery, &self.bus)?;
         let t1 = store.clock().now_s();
         lane.advance_to_s(t1);
         Ok((raw, t1 - t0))
@@ -1399,11 +1305,8 @@ impl ConcurrentHeaven {
             let e = self.catalog.entry(st)?;
             slots.push(i);
             reqs.push(PendingFetch {
-                req: FetchRequest { st, addr: e.addr },
-                attempt: 0,
-                on_replica: false,
-                replica: e.replica,
-                checksum: Some(e.checksum),
+                ladder: Ladder::new(st, e.addr, e.replica, e.checksum),
+                backoff_s: 0.0,
                 enqueue_s: 0.0, // stamped at registration, under the lock
                 drains: 0,
                 stalled: false,
@@ -1443,14 +1346,14 @@ impl ConcurrentHeaven {
                     lane.advance_to_s(served.done_s);
                     out[i] = Some(served.payload);
                 }
-                Err(f) => {
-                    failed.get_or_insert(f);
+                Err(e) => {
+                    failed.get_or_insert(e);
                 }
             }
             self.bus.span_end(span, lane.now_s());
         }
         match failed {
-            Some(f) => Err(f.into_error()),
+            Some(e) => Err(e),
             None => Ok(out.into_iter().map(|p| p.expect("staged")).collect()),
         }
     }
@@ -1522,5 +1425,64 @@ impl Drop for Session<'_> {
         // overlapped lane ends.
         self.h.clock.advance_to_s(self.lane.now_s());
         self.h.batcher.close_session();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::config::HeavenConfig;
+    use crate::error::HeavenError;
+    use crate::export::ExportMode;
+    use crate::system::Heaven;
+    use heaven_array::{CellType, MDArray, Minterval, Tiling};
+    use heaven_arraydb::ArrayDb;
+    use heaven_hsm::{BlockAddress, HsmError};
+    use heaven_rdbms::Database;
+    use heaven_tape::{DeviceProfile, DiskProfile, SimClock, TapeError, TapeLibrary};
+
+    /// A read the ladder gives up on at once (its address names no
+    /// medium) fails with the same typed error whether the single owner
+    /// or a batched session staged it.
+    #[test]
+    fn unrecoverable_read_fails_with_one_typed_error_in_both_modes() {
+        let clock = SimClock::new();
+        let db = Database::new(DiskProfile::scsi2003(), clock.clone(), 4096);
+        let mut adb = ArrayDb::create(db).unwrap();
+        adb.create_collection("m", CellType::U8, 2).unwrap();
+        let whole = Minterval::new(&[(0, 31), (0, 31)]).unwrap();
+        let arr = MDArray::generate(whole.clone(), CellType::U8, |p| p.coord(0) as f64);
+        let tiling = Tiling::Regular {
+            tile_shape: vec![16, 16],
+        };
+        let oid = adb.insert_object("m", &arr, tiling).unwrap();
+        let lib = TapeLibrary::new(DeviceProfile::ibm3590(), 1, clock);
+        let config = HeavenConfig {
+            supertile_bytes: Some(2048),
+            cross_session_batching: true,
+            ..HeavenConfig::default()
+        };
+        let mut heaven = Heaven::new(adb, lib, config);
+        heaven.export_object(oid, ExportMode::Tct).unwrap();
+        let st = heaven.catalog().object_supertiles(oid)[0];
+        let from = heaven.catalog().address(st).unwrap();
+        let nowhere = BlockAddress {
+            medium: 999,
+            ..from
+        };
+        heaven.relocate_copy(st, from, nowhere).unwrap();
+
+        heaven.clear_caches();
+        let owner = heaven.fetch_region_hierarchical(oid, &whole).unwrap_err();
+        heaven.clear_caches();
+        let batched = heaven.session().fetch_region(oid, &whole).unwrap_err();
+        for (mode, err) in [("owner", owner), ("batched session", batched)] {
+            assert!(
+                matches!(
+                    err,
+                    HeavenError::Hsm(HsmError::Tape(TapeError::NoSuchMedium(999)))
+                ),
+                "{mode}: {err:?}"
+            );
+        }
     }
 }

@@ -24,44 +24,6 @@ pub enum PrefetchPolicy {
     NextInOrder(usize),
 }
 
-/// Bounded-retry policy for tertiary reads (chaos-mode recovery). A
-/// transient failure (drive death, bad segment) is retried up to
-/// `max_retries` times per archive copy, backing off exponentially on
-/// the **simulated** clock; when a copy is exhausted the read fails over
-/// to the replica (if dual-copy archival is on) before giving up with
-/// [`crate::HeavenError::MediaLost`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Maximum re-reads of one copy after its initial attempt.
-    pub max_retries: u32,
-    /// Backoff before the first retry, simulated seconds.
-    pub backoff_base_s: f64,
-    /// Multiplier applied to the backoff per subsequent retry.
-    pub backoff_mult: f64,
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `attempt` (1-based); 0.0 for the
-    /// initial attempt.
-    pub fn backoff_s(&self, attempt: u32) -> f64 {
-        if attempt == 0 {
-            0.0
-        } else {
-            self.backoff_base_s * self.backoff_mult.powi(attempt as i32 - 1)
-        }
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            backoff_base_s: 0.5,
-            backoff_mult: 2.0,
-        }
-    }
-}
-
 /// Tunable parameters of a HEAVEN instance.
 #[derive(Debug, Clone)]
 pub struct HeavenConfig {
@@ -117,8 +79,6 @@ pub struct HeavenConfig {
     /// fails checksum verification. Doubles archive volume for
     /// fault tolerance (the paper's media-unreliability answer).
     pub dual_copy: bool,
-    /// Retry/backoff policy for tertiary reads.
-    pub retry: RetryPolicy,
     /// Stall watchdog threshold for batched tertiary fetches, expressed
     /// as a multiple of the batcher's drain window: a queued fetch that
     /// survives this many drain passes without being served (it keeps
@@ -149,7 +109,6 @@ impl Default for HeavenConfig {
             cache_shards: 1,
             cross_session_batching: true,
             dual_copy: false,
-            retry: RetryPolicy::default(),
             stall_window_mult: 4.0,
         }
     }
@@ -171,18 +130,8 @@ mod tests {
         assert_eq!(c.prefetch, PrefetchPolicy::None);
         assert_eq!(c.trace, TraceConfig::off());
         assert!(!c.dual_copy);
-        assert_eq!(c.retry.max_retries, 3);
         assert!(c.stall_window_mult > 0.0, "watchdog on by default");
         assert!(c.codec.forced.is_none());
         assert!(c.codec.raw_threshold > 0.0 && c.codec.raw_threshold < 1.0);
-    }
-
-    #[test]
-    fn retry_backoff_is_exponential() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff_s(0), 0.0);
-        assert!((p.backoff_s(1) - 0.5).abs() < 1e-12);
-        assert!((p.backoff_s(2) - 1.0).abs() < 1e-12);
-        assert!((p.backoff_s(3) - 2.0).abs() < 1e-12);
     }
 }

@@ -7,7 +7,7 @@ use heaven_tape::TapeError;
 use std::fmt;
 
 /// Errors raised by the HEAVEN layer.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum HeavenError {
     /// Unknown super-tile id.
     NoSuchSuperTile(u64),

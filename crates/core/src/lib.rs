@@ -45,7 +45,7 @@ pub mod system;
 pub use cache::{CacheStats, EvictionPolicy, SuperTileCache, TileCache};
 pub use catalog::{CatalogEntry, SuperTileCatalog};
 pub use concurrent::{ConcurrentHeaven, Session};
-pub use config::{ClusteringStrategy, HeavenConfig, PrefetchPolicy, RetryPolicy};
+pub use config::{ClusteringStrategy, HeavenConfig, PrefetchPolicy};
 pub use error::{HeavenError, Result};
 // Codec selection is configured through `HeavenConfig::codec`; re-export
 // the policy types so callers don't need a direct heaven-array dep.

@@ -230,3 +230,59 @@ fn fetch_histograms_count_every_tape_fetch_on_every_path() {
         }
     }
 }
+
+/// The metric names of DESIGN.md §4b's catalog table. A row names one or
+/// more metrics separated by ` / `; a name written `.b` after `a.x`
+/// shares `a.x`'s prefix (`cache.st.hits` / `.misses` is
+/// `cache.st.misses`).
+fn documented_metrics() -> Vec<String> {
+    let design = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md"))
+        .expect("DESIGN.md");
+    let catalog = design
+        .split("### Metric catalog")
+        .nth(1)
+        .and_then(|rest| rest.split("\n### ").next())
+        .expect("DESIGN.md has a metric catalog");
+    let mut names = Vec::new();
+    for row in catalog.lines().filter(|l| l.starts_with("| `")) {
+        let cell = row.split('|').nth(1).unwrap();
+        let mut prefix = "";
+        for name in cell.split(" / ").map(|n| n.trim().trim_matches('`')) {
+            match name.strip_prefix('.') {
+                Some(tail) => names.push(format!("{prefix}.{tail}")),
+                None => {
+                    prefix = name.rsplit_once('.').map_or(name, |(p, _)| p);
+                    names.push(name.to_string());
+                }
+            }
+        }
+    }
+    names
+}
+
+/// Every metric a cold owner query and a cold batched-session query
+/// register has a row in DESIGN.md §4b's catalog.
+#[test]
+fn every_registered_metric_is_in_the_design_catalog() {
+    let (mut heaven, oid) = setup_with_batching(true);
+    heaven.export_object(oid, ExportMode::Tct).unwrap();
+    let q = mi(&[(0, 29), (0, 29)]);
+    heaven.clear_caches();
+    heaven.begin_query("cold owner");
+    heaven.fetch_region_hierarchical(oid, &q).unwrap();
+    heaven.end_query().unwrap();
+    heaven.clear_caches();
+    heaven.session().fetch_region(oid, &q).unwrap();
+    let documented = documented_metrics();
+    let undocumented: Vec<&str> = heaven
+        .metrics()
+        .snapshot()
+        .into_iter()
+        .map(|(name, _)| name)
+        .filter(|name| !documented.iter().any(|d| d == name))
+        .collect();
+    assert!(
+        undocumented.is_empty(),
+        "registered metrics without a DESIGN.md §4b row: {undocumented:?}"
+    );
+}

@@ -49,6 +49,20 @@ if [ "$ladder_calls" -ne 1 ] || [ "$fetch_counters" -ne 1 ] || [ "$schedule_call
   echo "schedule( call sites outside scheduler.rs: $schedule_calls (want 0)"
   exit 1
 fi
+# The recovery ladder's decisions (transient or not, checksum verdict)
+# live in recovery.rs alone, and every staging path steps its Ladder: an
+# is_transient( or checksum_failures.inc( in the non-test code of another
+# core file (each file's trailing #[cfg(test)] block is exempt) means a
+# hand-copied ladder is back.
+for pat in 'is_transient(' 'checksum_failures.inc('; do
+  for f in crates/core/src/*.rs; do
+    [ "$f" = crates/core/src/recovery.rs ] && continue
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n "$pat"; then
+      echo "$pat in $f: step recovery::Ladder instead"
+      exit 1
+    fi
+  done
+done
 
 echo "==> one archive write path in core"
 # Export (both modes) and update_region write super-tiles through one
