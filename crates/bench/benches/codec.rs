@@ -1,6 +1,7 @@
 //! Wire-codec throughput: GiB/s per codec per data class, the fast
 //! word-at-a-time RLE against the scalar baseline it replaced, and the
-//! cost of the adaptive probe on incompressible payloads.
+//! cost of the adaptive probe on incompressible payloads, and the
+//! super-tile wire checksum against byte-serial FNV-1a.
 //!
 //! Four payload classes cover the archive spectrum:
 //!
@@ -18,6 +19,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use heaven_array::codec::{self, baseline};
 use heaven_array::{decode_wire, encode_wire, Codec, CodecPolicy};
+use heaven_core::checksum64;
 
 /// Payload size per class: big enough for stable GiB/s, small enough
 /// for a CI smoke run.
@@ -166,6 +168,34 @@ fn scalar_rle_decompress(input: &[u8]) -> Option<Vec<u8>> {
     Some(out)
 }
 
+/// Byte-serial 64-bit FNV-1a, the super-tile checksum `checksum64`
+/// replaced: one dependent multiply per byte. Kept here only as the
+/// reference for `checksum_speedup_vs_fnv`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// Checksummed unit: one whole super-tile of the size the benchmarks
+/// and experiments archive.
+const CHECKSUM_PAYLOAD: usize = 32 << 10;
+
+/// Wall nanoseconds per call of `hash` over one `CHECKSUM_PAYLOAD`,
+/// averaged over enough calls to dwarf the clock's resolution.
+fn checksum_ns(data: &[u8], hash: fn(&[u8]) -> u64) -> f64 {
+    let iters = 4096u32;
+    hash(std::hint::black_box(data));
+    let start = Instant::now();
+    for _ in 0..iters {
+        std::hint::black_box(hash(std::hint::black_box(data)));
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
 struct ClassResult {
     name: &'static str,
     cell_size: usize,
@@ -251,6 +281,11 @@ fn main() {
 
     let results: Vec<ClassResult> = classes().iter().map(bench_class).collect();
 
+    let checksummed = &noise[..CHECKSUM_PAYLOAD];
+    let checksum64_ns = checksum_ns(checksummed, checksum64);
+    let fnv_ns = checksum_ns(checksummed, fnv1a64);
+    let checksum_speedup = fnv_ns / checksum64_ns.max(1e-3);
+
     for r in &results {
         println!(
             "codec/{:<10} seed rle {:>6.2}/{:>6.2} GiB/s  scalar dec {:>6.2} GiB/s  \
@@ -289,6 +324,12 @@ fn main() {
         "codec/adaptive probe on random: {} ns vs {} ns memcpy ({:.3}% of one copy)",
         random.adaptive.encode_ns, memcpy_ns, overhead_pct
     );
+    println!(
+        "checksum/32KiB checksum64 {checksum64_ns:.0} ns ({:.2} GB/s) vs FNV-1a {fnv_ns:.0} ns \
+         ({:.2} GB/s): {checksum_speedup:.1}x",
+        CHECKSUM_PAYLOAD as f64 / checksum64_ns,
+        CHECKSUM_PAYLOAD as f64 / fnv_ns,
+    );
 
     if let Some(path) = json_path {
         let mut out = String::from("{\n  \"bench\": \"codec\",\n");
@@ -305,6 +346,11 @@ fn main() {
         ));
         out.push_str(&format!(
             "  \"adaptive_raw_overhead_vs_memcpy_pct\": {overhead_pct:.4},\n"
+        ));
+        out.push_str(&format!(
+            "  \"checksum\": {{\"payload_bytes\": {CHECKSUM_PAYLOAD}, \
+             \"checksum64_ns\": {checksum64_ns:.1}, \"fnv1a_ns\": {fnv_ns:.1}, \
+             \"checksum_speedup_vs_fnv\": {checksum_speedup:.2}}},\n"
         ));
         out.push_str("  \"classes\": [\n");
         for (i, r) in results.iter().enumerate() {

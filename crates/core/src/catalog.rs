@@ -25,7 +25,8 @@ pub struct CatalogEntry {
     /// Second archive copy (dual-copy archival), never on the primary's
     /// medium.
     pub replica: Option<BlockAddress>,
-    /// FNV-1a checksum of the wire payload, verified on every read.
+    /// [`checksum64`](crate::supertile::checksum64) of the wire payload,
+    /// verified on every read.
     pub checksum: u64,
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Run the wire-codec benchmark (raw / rle / shuffle_rle per data class,
 # fast RLE vs the scalar reference and the seed codec, adaptive probe
-# overhead) and record machine-readable results.
+# overhead, super-tile checksum vs byte-serial FNV-1a) and record
+# machine-readable results.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -125,6 +125,11 @@ assert d["cold"]["batched_mounts"] < d["cold"]["fifo_mounts"], d["cold"]
 EOF
 rm -f "$tmpjson"
 
+echo "==> super-tile checksum catches every bit flip (release)"
+# The 32 KiB sweep flips all 262144 bits only when optimized; the debug
+# workspace run above samples every 97th.
+cargo test -q --release -p heaven-core --lib supertile::tests::checksum
+
 echo "==> seeded chaos smoke"
 # The fault-schedule property tests (any schedule: exact bytes or typed
 # MediaLost, never silent corruption) run optimized, then one faults
@@ -189,10 +194,12 @@ echo "==> codec bench smoke"
 # One pass over all payload classes: schema keys present, the fast RLE
 # decode holds its margin over the scalar reference on run-heavy data,
 # and the adaptive probe stays within 1% of a raw pass-through on
-# incompressible data (which must select the raw codec).
+# incompressible data (which must select the raw codec). The super-tile
+# checksum must hold a 4x margin over byte-serial FNV-1a: a ratio on one
+# host, so it does not depend on how fast the host is.
 codecjson="$(mktemp)"
 cargo bench -p heaven-bench --bench codec -- --json "$codecjson" > /dev/null
-for key in '"bench": "codec"' '"adaptive_raw_overhead_vs_memcpy_pct"' '"classes"' '"rle_decode_speedup"'; do
+for key in '"bench": "codec"' '"adaptive_raw_overhead_vs_memcpy_pct"' '"classes"' '"rle_decode_speedup"' '"checksum_speedup_vs_fnv"'; do
   grep -q "$key" "$codecjson" || { echo "BENCH_codec.json missing $key"; exit 1; }
 done
 python3 - "$codecjson" <<'EOF'
@@ -205,6 +212,7 @@ assert classes["constant"]["seed_rle_decode_speedup"] >= 1.0, classes["constant"
 assert d["adaptive_raw_overhead_vs_memcpy_pct"] <= 1.0, d["adaptive_raw_overhead_vs_memcpy_pct"]
 adaptive = [r for r in classes["random"]["codecs"] if r["mode"] == "adaptive"]
 assert adaptive and adaptive[0]["codec"] == "raw", adaptive
+assert d["checksum"]["checksum_speedup_vs_fnv"] >= 4.0, d["checksum"]
 EOF
 rm -f "$codecjson"
 
@@ -217,7 +225,7 @@ import glob, json, os
 SCHEMAS = {
     "BENCH_codec.json": {
         "bench", "baseline", "classes", "memcpy_gib_s",
-        "payload_bytes", "adaptive_raw_overhead_vs_memcpy_pct",
+        "payload_bytes", "adaptive_raw_overhead_vs_memcpy_pct", "checksum",
     },
     "BENCH_concurrency.json": {"bench", "model", "warm", "cold"},
     "BENCH_faults.json": {
