@@ -1,7 +1,7 @@
 //! Benchmarks of the query scheduler over realistic batch sizes.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use heaven_core::{count_exchanges, schedule, seek_distance, FetchRequest};
+use heaven_core::{schedule, seek_distance, FetchRequest};
 use heaven_hsm::BlockAddress;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,9 +32,6 @@ fn bench_schedule(c: &mut Criterion) {
 fn bench_metrics(c: &mut Criterion) {
     let reqs = requests(1024, 16, 5);
     let order = schedule(&reqs, &[]);
-    c.bench_function("schedule/count_exchanges 1024", |b| {
-        b.iter(|| black_box(count_exchanges(&order, 2, &[])))
-    });
     c.bench_function("schedule/seek_distance 1024", |b| {
         b.iter(|| black_box(seek_distance(&order)))
     });

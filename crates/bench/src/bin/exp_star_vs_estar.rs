@@ -6,7 +6,7 @@
 //! with Hilbert order, and (c) eSTAR tuned to the pattern. Pure placement
 //! geometry — the metric that drives tape time.
 
-use heaven_array::{CellType, LinearOrder, Minterval, Tile, Tiling};
+use heaven_array::{CellType, LinearOrder, Minterval, Tiling};
 use heaven_bench::table::fmt_bytes;
 use heaven_bench::Table;
 use heaven_core::{
@@ -24,12 +24,7 @@ fn build_tiles(domain: &Minterval) -> (Vec<TileInfo>, Vec<u64>) {
         .into_iter()
         .zip(grid)
         .enumerate()
-        .map(|(i, (d, gc))| TileInfo {
-            id: i as u64,
-            domain: d.clone(),
-            bytes: Tile::header_len(3) as u64 + d.cell_count() * 4,
-            grid: gc,
-        })
+        .map(|(i, (d, gc))| TileInfo::encoded(i as u64, d, CellType::F32, gc))
         .collect();
     (tiles, shape)
 }

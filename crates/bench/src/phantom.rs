@@ -7,10 +7,8 @@
 //! experiments then measure real simulated costs over hundreds of
 //! gigabytes without allocating host memory.
 
-use heaven_array::{CellType, Minterval, Tile, TileId, Tiling};
-use heaven_core::{
-    estar_partition, fetch_order, star_partition, ClusteringStrategy, FetchRequest, TileInfo,
-};
+use heaven_array::{CellType, Minterval, TileId, Tiling};
+use heaven_core::{fetch_order, ClusteringStrategy, FetchRequest, TileInfo};
 use heaven_hsm::{BlockAddress, DirectStore};
 use heaven_obs::{MetricsRegistry, TraceBus};
 use heaven_tape::{DeviceProfile, SimClock, TapeLibrary, TapeStats, WritePayload};
@@ -112,26 +110,12 @@ impl PhantomArchive {
                 .into_iter()
                 .zip(grid)
                 .map(|(d, gc)| {
-                    let bytes = Tile::header_len(domain.dim()) as u64
-                        + d.cell_count() * cell.size_bytes() as u64;
-                    let info = TileInfo {
-                        id: next_tile,
-                        domain: d,
-                        bytes,
-                        grid: gc,
-                    };
+                    let id = next_tile;
                     next_tile += 1;
-                    info
+                    TileInfo::encoded(id, d, cell, gc)
                 })
                 .collect();
-            let groups = match strategy {
-                ClusteringStrategy::Star(order) => {
-                    star_partition(&tiles, &grid_shape, st_target, order)
-                }
-                ClusteringStrategy::EStar(pattern) => {
-                    estar_partition(&tiles, &grid_shape, st_target, pattern)
-                }
-            };
+            let groups = strategy.partition(&tiles, &grid_shape, st_target);
             let addrs: Vec<BlockAddress> = groups
                 .iter()
                 .map(|g| {

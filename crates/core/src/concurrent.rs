@@ -28,15 +28,16 @@
 //!   set ([`FetchRequest`]s) with the [`FetchBatcher`] in one call and
 //!   waits once, so a query costs at most one batching window however
 //!   many super-tiles it misses. One waiting session becomes the
-//!   *drainer*, waits for peers to pile on (a condvar handoff — the
-//!   window closes as soon as every open session has a request queued,
-//!   so no peer is left to join, or when it runs out), then stages the
-//!   merged batch in one scheduled sweep (mounted-media first, ascending
-//!   offsets, drive-parallel rounds). A drainer that vacates its seat
-//!   wakes the sessions that queued behind it, so the next drainer is
-//!   elected at once, not after a timed wait. Which requests share a
-//!   batch therefore depends on what the sessions ask for, not on
-//!   thread timing, as long as every open session keeps querying.
+//!   *drainer*, waits for peers to pile on (the window closes as soon as
+//!   every open session has a request queued, so no peer is left to
+//!   join, or when it runs out), then stages the merged batch in one
+//!   scheduled sweep (mounted-media first, ascending offsets,
+//!   drive-parallel rounds). The batcher is a monitor — one lock, one
+//!   condvar — so a drainer stepping down is one more state change under
+//!   the lock, and a session queued behind it takes the seat at once.
+//!   Which requests share a batch therefore depends on what the sessions
+//!   ask for, not on thread timing, as long as every open session keeps
+//!   querying.
 //!   Duplicate super-tile requests **coalesce**: one tape fetch resolves
 //!   every waiting session (`sched.coalesced_fetches` counts the saved
 //!   fetches).
@@ -50,7 +51,7 @@
 //! Under fault injection the batcher steps the same recovery ladder as
 //! the direct path ([`crate::recovery::Ladder`]): a fetch the ladder
 //! wants read again — a retry, or the replica copy — is *requeued* into
-//! the next drain iteration (`sched.requeued_fetches`) with its coalesced
+//! the drainer's next sweep (`sched.requeued_fetches`) with its coalesced
 //! waiters intact, and the ladder's typed error (such as
 //! [`HeavenError::MediaLost`]) reaches every waiter.
 //!
@@ -74,7 +75,7 @@ use crate::catalog::SuperTileCatalog;
 use crate::config::{HeavenConfig, PrefetchPolicy};
 use crate::error::{HeavenError, Result};
 use crate::recovery::{read_with_recovery, Ladder, RecoveryMetrics, Step};
-use crate::scheduler::{count_exchanges, fetch_order, plan_drive_rounds, FetchRequest};
+use crate::scheduler::{fetch_order, plan_drive_rounds, FetchRequest};
 use crate::sizing::optimal_supertile_size;
 use crate::supertile::{decode_member, SuperTileId, SuperTileMeta};
 use crate::system::HeavenStats;
@@ -84,11 +85,11 @@ use heaven_array::{CellType, Codec, MDArray, Minterval, ObjectId, Tile, TileId};
 use heaven_arraydb::{visit_clip, ArrayDb, TileLocation, Visitor};
 use heaven_hsm::{BlockAddress, DirectStore, HsmError};
 use heaven_obs::{Counter, FloatCounter, Histogram, MetricsRegistry, TraceBus};
-use heaven_tape::{DiskProfile, MediumId, SimClock, TapeLibrary, TapeStats};
+use heaven_tape::{DiskProfile, SimClock, TapeLibrary, TapeStats};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The exported misses of one staging pass.
@@ -166,8 +167,8 @@ pub(crate) struct HeavenMetrics {
     batches: Counter,
     /// Fetch requests staged through cross-session batches.
     batched_fetches: Counter,
-    /// Batched fetches put back in the queue after a transient failure
-    /// (retry) or for their replica copy (failover).
+    /// Batched fetches read again in the drainer's next sweep after a
+    /// transient failure (retry) or for their replica copy (failover).
     requeued_fetches: Counter,
     /// Queued fetches flagged by the stall watchdog (once per fetch; see
     /// [`HeavenConfig::stall_window_mult`]).
@@ -285,65 +286,65 @@ struct Served {
 type Outcome = Result<Served>;
 
 /// One in-flight tertiary fetch; every session waiting on the same
-/// super-tile holds the same `Arc<Inflight>` and reads the same outcome.
-/// `done` is signalled when the slot is filled, and when a drainer
-/// vacates its seat with the fetch still unresolved.
-#[derive(Debug, Default)]
+/// super-tile holds the same `Arc<Inflight>` and reads the same outcome,
+/// which is set (once) and read under the batcher's state lock.
+#[derive(Debug)]
 struct Inflight {
-    slot: Mutex<Option<Outcome>>,
-    done: Condvar,
     /// The [`BatchQueue::epoch`] the fetch was queued in: while the two
     /// are equal, the fetch still waits in `pending`.
     epoch: u64,
+    outcome: OnceLock<Outcome>,
 }
 
-/// Arrival-ordered fetch queue plus the session accounting that closes
-/// the batching window.
+/// The batcher's whole state, behind its one lock: the arrival-ordered
+/// fetch queue, every unresolved fetch, the session accounting that
+/// closes the batching window, and the drainer seat.
 #[derive(Debug, Default)]
 struct BatchQueue {
     pending: Vec<PendingFetch>,
-    /// Retries and failovers for the current drainer's next pass (they
-    /// come from the drainer itself, so they never count as arrivals).
-    requeued: Vec<PendingFetch>,
+    /// Unresolved fetches by super-tile, queued or being staged.
+    inflight: HashMap<SuperTileId, Arc<Inflight>>,
     /// Sessions with a request in `pending`.
     queued_sessions: usize,
     /// Open sessions: once all of them are queued, nobody can join.
     live_sessions: usize,
     /// Batches taken from `pending` so far.
     epoch: u64,
+    /// A session is draining: waiting out the window or staging a batch.
+    draining: bool,
 }
 
-/// The cross-session staging coordinator (a combining lock).
+/// The cross-session staging coordinator: a monitor of one lock over the
+/// [`BatchQueue`] and one condvar, `changed`. Every state a session waits
+/// on (an arrival, a closing session, a staging round's outcomes, a
+/// drainer stepping down) changes under the lock and is followed by a
+/// `notify_all`, so no wake-up can be lost.
 ///
-/// `inflight` registers-or-coalesces under one critical section (a request
-/// is pushed to the queue in the same section, so no request is ever both
-/// unqueued and unobserved). Whichever waiting session wins `drain`
-/// becomes the drainer: it waits on the `arrived` condvar until every
-/// open session has a request queued or the window runs out, then stages
-/// the merged batch in one scheduled, drive-parallel sweep — and stages
-/// requeued retries/failovers in further passes before the drainer seat
-/// is vacated. Non-drainers park on their entry's `done` condvar.
+/// A session registers-or-coalesces its requests under the lock (a new
+/// request is pushed to the queue in the same section, so no request is
+/// ever both unqueued and unobserved), then waits until every entry is
+/// resolved. While nobody drains, a waiting session becomes the drainer:
+/// it waits on `changed` until every open session has a request queued or
+/// the window runs out, takes the batch, releases the lock and stages the
+/// batch in one scheduled, drive-parallel sweep, then the retries and
+/// failovers its ladder asks for in further sweeps. Only then does it
+/// step down, so every fetch it took is resolved by then; a session that
+/// queued behind the drain takes the seat at once. Lock order: the store,
+/// then this lock (the drain resolves entries while it holds the store);
+/// `fetch` never takes the store while it holds this lock.
 #[derive(Debug)]
 pub(crate) struct FetchBatcher {
-    queue: Mutex<BatchQueue>,
-    arrived: Condvar,
-    inflight: Mutex<HashMap<SuperTileId, Arc<Inflight>>>,
-    drain: Mutex<()>,
+    state: Mutex<BatchQueue>,
+    changed: Condvar,
     window: Duration,
-    /// Bumped when a drainer starts staging and again just before it
-    /// vacates the seat: odd while a drain is under way.
-    seat: AtomicU64,
 }
 
 impl FetchBatcher {
     fn new(window: Duration) -> FetchBatcher {
         FetchBatcher {
-            queue: Mutex::new(BatchQueue::default()),
-            arrived: Condvar::new(),
-            inflight: Mutex::new(HashMap::new()),
-            drain: Mutex::new(()),
+            state: Mutex::new(BatchQueue::default()),
+            changed: Condvar::new(),
             window,
-            seat: AtomicU64::new(0),
         }
     }
 
@@ -354,128 +355,89 @@ impl FetchBatcher {
     /// Returns one outcome per request, in request order, each paired
     /// with whether it coalesced onto an already-queued request.
     fn fetch(&self, h: &ConcurrentHeaven, reqs: Vec<PendingFetch>) -> Vec<(Outcome, bool)> {
-        let entries: Vec<(Arc<Inflight>, bool)> = {
-            let mut map = self.inflight.lock();
-            let mut q = self.queue.lock();
-            let enqueue_s = h.clock.now_s();
-            // Queued in this window: a new request, or a coalesced one
-            // still waiting in `pending` (not one already being staged).
-            let mut joined = false;
-            let entries = reqs
-                .into_iter()
-                .map(|mut p| match map.get(&p.ladder.st()) {
-                    Some(e) => {
-                        h.metrics.coalesced_fetches.inc();
-                        joined |= e.epoch == q.epoch;
-                        (Arc::clone(e), true)
-                    }
-                    None => {
-                        let e = Arc::new(Inflight {
-                            epoch: q.epoch,
-                            ..Inflight::default()
-                        });
-                        map.insert(p.ladder.st(), Arc::clone(&e));
-                        p.enqueue_s = enqueue_s;
-                        q.pending.push(p);
-                        joined = true;
-                        (e, false)
-                    }
-                })
-                .collect();
-            if joined {
-                q.queued_sessions += 1;
-                self.arrived.notify_all();
-            }
-            entries
-        };
-        while let Some((entry, _)) = entries.iter().find(|(e, _)| e.slot.lock().is_none()) {
-            match self.drain.try_lock() {
-                // Re-check under the seat: the drainer it was just taken
-                // from may have resolved the entry.
-                Some(drainer) if entry.slot.lock().is_none() => {
-                    self.seat.fetch_add(1, Ordering::AcqRel);
-                    // Requeued retries and replica failovers are staged
-                    // before the drainer seat is vacated, so their
-                    // coalesced waiters are never stranded behind an empty
-                    // election. New arrivals wait for the next window.
-                    let mut batch = self.next_batch();
-                    while !batch.is_empty() {
-                        self.drain_all(h, batch);
-                        batch = std::mem::take(&mut self.queue.lock().requeued);
-                    }
-                    self.seat.fetch_add(1, Ordering::AcqRel);
-                    drop(drainer);
-                    // Sessions that queued while this drain ran sleep
-                    // only behind it: wake them to elect the next drainer.
-                    for e in self.inflight.lock().values() {
-                        let _slot = e.slot.lock();
-                        e.done.notify_all();
-                    }
+        let mut q = self.state.lock();
+        let enqueue_s = h.clock.now_s();
+        // Queued in this window: a new request, or a coalesced one still
+        // waiting in `pending` (not one already being staged).
+        let mut joined = false;
+        let entries: Vec<(Arc<Inflight>, bool)> = reqs
+            .into_iter()
+            .map(|mut p| {
+                let st = p.ladder.st();
+                if let Some(e) = q.inflight.get(&st) {
+                    h.metrics.coalesced_fetches.inc();
+                    joined |= e.epoch == q.epoch;
+                    return (Arc::clone(e), true);
                 }
-                Some(_) => {}
-                None => {
-                    let seat = self.seat.load(Ordering::Acquire);
-                    if seat.is_multiple_of(2) {
-                        // The seat is held only for an election: retry.
-                        std::hint::spin_loop();
-                        continue;
-                    }
-                    // Sleep only behind the drain seen above: it wakes
-                    // every unresolved entry after it vacates, and the
-                    // slot lock held from this check to the park keeps
-                    // that wake-up from slipping in between. The timeout
-                    // is a backstop.
-                    let slot = entry.slot.lock();
-                    if slot.is_none() && self.seat.load(Ordering::Acquire) == seat {
-                        let _ = entry.done.wait_for(slot, Duration::from_millis(1));
-                    }
-                }
+                let e = Arc::new(Inflight {
+                    epoch: q.epoch,
+                    outcome: OnceLock::new(),
+                });
+                q.inflight.insert(st, Arc::clone(&e));
+                p.enqueue_s = enqueue_s;
+                q.pending.push(p);
+                joined = true;
+                (e, false)
+            })
+            .collect();
+        if joined {
+            q.queued_sessions += 1;
+            self.changed.notify_all();
+        }
+        while entries.iter().any(|(e, _)| e.outcome.get().is_none()) {
+            if q.draining {
+                q = self.changed.wait(q);
+                continue;
             }
+            // Take the seat and wait out the batching window: it closes as
+            // soon as every open session has a request queued — no peer is
+            // left to join — or when it runs out, which bounds the wait for
+            // a session that is busy elsewhere or idle between queries.
+            q.draining = true;
+            let deadline = Instant::now() + self.window;
+            while q.queued_sessions < q.live_sessions {
+                let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                    break;
+                };
+                q = self.changed.wait_for(q, left).0;
+            }
+            q.queued_sessions = 0;
+            q.epoch += 1;
+            let mut batch = std::mem::take(&mut q.pending);
+            drop(q);
+            // Retries and replica failovers are staged before the seat is
+            // vacated, so every fetch this drainer took resolves under it.
+            // New arrivals wait for the next window.
+            while !batch.is_empty() {
+                batch = self.drain_all(h, batch);
+            }
+            q = self.state.lock();
+            q.draining = false;
+            self.changed.notify_all();
         }
         entries
             .into_iter()
-            .map(|(e, coalesced)| (e.slot.lock().clone().expect("resolved"), coalesced))
+            .map(|(e, coalesced)| (e.outcome.get().cloned().expect("resolved"), coalesced))
             .collect()
     }
 
-    /// Wait out the batching window on the arrival condvar, then take the
-    /// queued batch. The window closes as soon as every open session has
-    /// a request queued — no peer is left to join — or when it runs out,
-    /// which bounds the wait for a session that is busy elsewhere or idle
-    /// between queries. Peers enqueue freely while the drainer sleeps —
-    /// the queue lock is released inside `wait_for` — and a closing
-    /// session notifies the condvar too.
-    fn next_batch(&self) -> Vec<PendingFetch> {
-        let deadline = Instant::now() + self.window;
-        let mut q = self.queue.lock();
-        while q.queued_sessions < q.live_sessions {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            q = self.arrived.wait_for(q, deadline - now).0;
-        }
-        q.queued_sessions = 0;
-        q.epoch += 1;
-        std::mem::take(&mut q.pending)
-    }
-
-    /// Count a newly opened session (see [`FetchBatcher::next_batch`]).
+    /// Count a newly opened session (see [`FetchBatcher::fetch`]).
     fn open_session(&self) {
-        self.queue.lock().live_sessions += 1;
+        self.state.lock().live_sessions += 1;
     }
 
     /// Uncount a closed session; a drainer waiting for it stops waiting.
     fn close_session(&self) {
-        self.queue.lock().live_sessions -= 1;
-        self.arrived.notify_all();
+        self.state.lock().live_sessions -= 1;
+        self.changed.notify_all();
     }
 
     /// Stage `reqs` in one scheduled sweep and step each read's ladder.
-    /// A read the ladder wants again requeues (with its coalesced waiters
-    /// intact — the inflight entry survives); a verdict resolves the
-    /// entry (nobody is left parked on a fetch that will never complete).
-    fn drain_all(&self, h: &ConcurrentHeaven, mut reqs: Vec<PendingFetch>) {
+    /// Each round's verdicts resolve their entries (nobody is left parked
+    /// on a fetch that will never complete); returns the reads the ladder
+    /// wants again, for the drainer's next sweep (with their coalesced
+    /// waiters intact — the inflight entries survive).
+    fn drain_all(&self, h: &ConcurrentHeaven, mut reqs: Vec<PendingFetch>) -> Vec<PendingFetch> {
         let mut store = h.store.lock();
         // Stall watchdog: each drain pass is one batching window; a fetch
         // still pending past `stall_window_mult` passes (it keeps
@@ -533,6 +495,7 @@ impl FetchBatcher {
                 ("max_attempt", (max_attempt as u64).into()),
             ],
         );
+        let mut again = Vec::new();
         for round in rounds {
             // One drive per group: run each group on a detached clock lane
             // and land the slowest lane on the shared timeline, so groups
@@ -558,9 +521,10 @@ impl FetchBatcher {
             }
             store.clock().advance_to_s(t0 + window);
             let done_s = store.clock().now_s();
+            let mut resolved = Vec::with_capacity(results.len());
             for (r, res) in results {
                 let mut p = by_st[&r.st];
-                match p.ladder.step(res, done_s, &h.recovery, &h.bus) {
+                let outcome = match p.ladder.step(res, done_s, &h.recovery, &h.bus) {
                     Step::Verified(raw) => {
                         // Decompose the fetch's latency: queue =
                         // enqueue → this round's staging start (backoffs
@@ -569,60 +533,65 @@ impl FetchBatcher {
                         let queue_s = (t0 - p.enqueue_s).max(0.0);
                         let service_s = (done_s - t0).max(0.0);
                         let refetch_s = store.refetch_cost_s(r.addr);
-                        match h.admit(r.st, r.addr, raw, service_s, refetch_s) {
-                            Ok(payload) => {
+                        h.admit(r.st, r.addr, raw, service_s, refetch_s)
+                            .map(|payload| {
                                 h.metrics.queue_wait.observe(queue_s);
                                 h.metrics.service.observe(service_s);
-                                self.resolve(
-                                    r.st,
-                                    Ok(Served {
-                                        payload,
-                                        done_s,
-                                        queue_s,
-                                        service_s,
-                                        batch_span,
-                                    }),
-                                );
-                            }
-                            Err(e) => self.resolve(r.st, Err(e)),
-                        }
+                                Served {
+                                    payload,
+                                    done_s,
+                                    queue_s,
+                                    service_s,
+                                    batch_span,
+                                }
+                            })
                     }
                     Step::ReadAgain { backoff_s } => {
-                        self.requeue(h, PendingFetch { backoff_s, ..p })
+                        let p = PendingFetch { backoff_s, ..p };
+                        note_requeue(h, &p);
+                        again.push(p);
+                        continue;
                     }
-                    Step::Failed(e) => self.resolve(r.st, Err(e)),
-                }
+                    Step::Failed(e) => Err(e),
+                };
+                resolved.push((r.st, outcome));
             }
+            self.resolve(resolved);
         }
         h.bus.span_end(batch_span, store.clock().now_s());
+        again
     }
 
-    /// Put a request back in the queue for the next drain iteration. The
-    /// inflight entry stays, so every coalesced waiter keeps waiting on
-    /// the same slot — nobody is dropped or double-notified.
-    fn requeue(&self, h: &ConcurrentHeaven, p: PendingFetch) {
-        h.metrics.requeued_fetches.inc();
-        h.bus.event(
-            "sched.requeue",
-            h.clock.now_s(),
-            &[
-                ("st", p.ladder.st().into()),
-                ("attempt", (p.ladder.attempt() as u64).into()),
-                ("replica", (p.ladder.on_replica() as u64).into()),
-            ],
-        );
-        self.queue.lock().requeued.push(p);
-    }
-
-    fn resolve(&self, st: SuperTileId, outcome: Outcome) {
-        let entry = self.inflight.lock().remove(&st);
-        if let Some(e) = entry {
-            let mut slot = e.slot.lock();
-            debug_assert!(slot.is_none(), "double notify on super-tile {st}");
-            *slot = Some(outcome);
-            e.done.notify_all();
+    /// Resolve one staging round's entries under one lock and wake their
+    /// waiters once.
+    fn resolve(&self, outcomes: Vec<(SuperTileId, Outcome)>) {
+        if outcomes.is_empty() {
+            return;
         }
+        let mut q = self.state.lock();
+        for (st, outcome) in outcomes {
+            if let Some(e) = q.inflight.remove(&st) {
+                let fresh = e.outcome.set(outcome).is_ok();
+                debug_assert!(fresh, "double notify on super-tile {st}");
+            }
+        }
+        self.changed.notify_all();
     }
+}
+
+/// Count a batched fetch the ladder wants read again in the drainer's
+/// next sweep (a retry, or the replica copy).
+fn note_requeue(h: &ConcurrentHeaven, p: &PendingFetch) {
+    h.metrics.requeued_fetches.inc();
+    h.bus.event(
+        "sched.requeue",
+        h.clock.now_s(),
+        &[
+            ("st", p.ladder.st().into()),
+            ("attempt", (p.ladder.attempt() as u64).into()),
+            ("replica", (p.ladder.on_replica() as u64).into()),
+        ],
+    );
 }
 
 /// The `Send + Sync` HEAVEN retrieval engine.
@@ -1033,7 +1002,7 @@ impl ConcurrentHeaven {
             let cached = ordered.len();
             let mounted = store.library().mounted_media();
             let order = fetch_order(&to_fetch, self.config.scheduling, &mounted);
-            self.note_schedule(&store, lane, &order, &mounted, cached);
+            self.note_schedule(lane, &order, cached);
             ordered.extend(order.iter().map(|r| r.st));
             // Partial reads need the uncompressed on-media layout; they
             // also bypass the whole-payload checksum, so under fault
@@ -1063,21 +1032,12 @@ impl ConcurrentHeaven {
         Ok(())
     }
 
-    /// Emit the scheduler-decision event: how many super-tiles go to tape,
-    /// how many are already staged, and the media-exchange estimate for
-    /// the chosen order.
-    fn note_schedule(
-        &self,
-        store: &DirectStore,
-        lane: &SimClock,
-        order: &[FetchRequest],
-        mounted: &[MediumId],
-        cached: usize,
-    ) {
+    /// Emit the scheduler-decision event: how many super-tiles go to tape
+    /// and how many are already staged.
+    fn note_schedule(&self, lane: &SimClock, order: &[FetchRequest], cached: usize) {
         if !self.bus.is_enabled() || (order.is_empty() && cached == 0) {
             return;
         }
-        let est = count_exchanges(order, store.library().drive_count(), mounted);
         let policy = if self.config.scheduling {
             "scheduled"
         } else {
@@ -1090,7 +1050,6 @@ impl ConcurrentHeaven {
                 ("tape_fetches", order.len().into()),
                 ("cached", cached.into()),
                 ("policy", policy.into()),
-                ("exchanges_est", est.into()),
             ],
         );
     }

@@ -1,7 +1,8 @@
 //! HEAVEN configuration.
 
 use crate::cache::EvictionPolicy;
-use crate::estar::AccessPattern;
+use crate::estar::{estar_partition, AccessPattern};
+use crate::star::{star_partition, Partition, TileInfo};
 use heaven_array::{CodecPolicy, Condenser, LinearOrder};
 use heaven_obs::TraceConfig;
 
@@ -12,6 +13,21 @@ pub enum ClusteringStrategy {
     Star(LinearOrder),
     /// eSTAR, access-pattern aware (paper §3.3.3).
     EStar(AccessPattern),
+}
+
+impl ClusteringStrategy {
+    /// Partition an object's `tiles` (its tile grid has `grid_shape`) into
+    /// super-tiles of at most `target_bytes` with this strategy.
+    pub fn partition(self, tiles: &[TileInfo], grid_shape: &[u64], target_bytes: u64) -> Partition {
+        match self {
+            ClusteringStrategy::Star(order) => {
+                star_partition(tiles, grid_shape, target_bytes, order)
+            }
+            ClusteringStrategy::EStar(pattern) => {
+                estar_partition(tiles, grid_shape, target_bytes, pattern)
+            }
+        }
+    }
 }
 
 /// Prefetching policy (paper §3.6).

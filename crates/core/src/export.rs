@@ -20,10 +20,8 @@
 //! `update_region` shares.
 
 use crate::catalog::CatalogEntry;
-use crate::config::ClusteringStrategy;
 use crate::error::{HeavenError, Result};
-use crate::estar::estar_partition;
-use crate::star::{star_partition, TileInfo};
+use crate::star::TileInfo;
 use crate::supertile::{checksum64, encode_supertile, SuperTileId};
 use crate::system::Heaven;
 use heaven_array::{ObjectId, Tile, TileId};
@@ -162,22 +160,12 @@ impl Heaven {
             .tiles
             .iter()
             .zip(grid)
-            .map(|((domain, tid), gc)| TileInfo {
-                id: *tid,
-                domain: domain.clone(),
-                bytes: (Tile::header_len(meta.domain.dim())
-                    + (domain.cell_count() * meta.cell_type.size_bytes() as u64) as usize)
-                    as u64,
-                grid: gc,
-            })
+            .map(|((domain, tid), gc)| TileInfo::encoded(*tid, domain.clone(), meta.cell_type, gc))
             .collect();
-        let target = self.supertile_target();
-        let partition = match self.config.clustering {
-            ClusteringStrategy::Star(order) => star_partition(&infos, &grid_shape, target, order),
-            ClusteringStrategy::EStar(pattern) => {
-                estar_partition(&infos, &grid_shape, target, pattern)
-            }
-        };
+        let partition =
+            self.config
+                .clustering
+                .partition(&infos, &grid_shape, self.supertile_target());
         Ok(partition
             .into_iter()
             .map(|g| g.into_iter().map(|i| infos[i].id).collect())

@@ -54,9 +54,7 @@ pub use export::{pipeline_makespan, ExportMode, ExportReport};
 pub use heaven_array::{Codec, CodecPolicy};
 pub use precomp::{PrecompCatalog, PrecompStats};
 pub use report::ArchiveReport;
-pub use scheduler::{
-    count_exchanges, fetch_order, plan_drive_rounds, schedule, seek_distance, FetchRequest,
-};
+pub use scheduler::{fetch_order, plan_drive_rounds, schedule, seek_distance, FetchRequest};
 pub use sizing::{expected_query_cost_s, optimal_supertile_size};
 pub use star::{bytes_touched, groups_touched, star_partition, TileInfo};
 pub use supertile::{

@@ -7,7 +7,7 @@
 //! result: spatially adjacent tiles share a super-tile, so a range query
 //! touches few super-tiles, and those it touches are mostly useful data.
 
-use heaven_array::{LinearOrder, Minterval, TileId};
+use heaven_array::{CellType, LinearOrder, Minterval, Tile, TileId};
 
 /// Per-tile input to the partitioning algorithms.
 #[derive(Debug, Clone)]
@@ -20,6 +20,21 @@ pub struct TileInfo {
     pub bytes: u64,
     /// The tile's coordinate in the tile grid.
     pub grid: Vec<u64>,
+}
+
+impl TileInfo {
+    /// A tile of `cell` cells over `domain`, sized as it is archived: the
+    /// tile header plus its cells — the one super-tile layout size rule.
+    pub fn encoded(id: TileId, domain: Minterval, cell: CellType, grid: Vec<u64>) -> TileInfo {
+        let bytes =
+            Tile::header_len(domain.dim()) as u64 + domain.cell_count() * cell.size_bytes() as u64;
+        TileInfo {
+            id,
+            domain,
+            bytes,
+            grid,
+        }
+    }
 }
 
 /// A partition of tiles into super-tile groups: indices into the input

@@ -6,11 +6,12 @@
 //! answers and identical fault/recovery counters, single-session and
 //! 8-thread concurrent), the batching window closing once every open
 //! session has queued (or when it runs out, for a session that never does),
+//! the drainer seat handed over at once step after step and under churn,
 //! and a drain whose miss set spans two media running them side by side on
 //! two drives.
 
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use heaven_array::{CellType, MDArray, Minterval, Point, Tile, Tiling};
 use heaven_arraydb::ArrayDb;
@@ -20,6 +21,8 @@ use heaven_core::{
 };
 use heaven_rdbms::Database;
 use heaven_tape::{DeviceProfile, DiskProfile, FaultConfig, SimClock, TapeLibrary};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Edge of one square tile in cells.
 const TILE_EDGE: i64 = 32;
@@ -797,6 +800,147 @@ fn closing_the_idle_session_releases_a_waiting_drainer() {
         query.join().unwrap().unwrap();
     });
     assert!(start.elapsed() < Duration::from_secs(10));
+}
+
+#[test]
+fn lockstep_steps_hand_the_drainer_seat_over_at_once() {
+    // Four sessions step through four objects (one medium each) in
+    // lockstep, every step cold: each session reads a super-tile nobody
+    // read before. A step's batch can close only because all four
+    // sessions queued, not because a window that long ran out, so each
+    // step stages as one batch, and each drainer that steps down hands
+    // the seat over to a session queued for the next step at once.
+    let (h, oids) = build_multi(4, 1, true);
+    let mut h = h.into_concurrent();
+    h.set_batch_window(Duration::from_secs(20));
+    let h = h;
+    let (workers, steps) = (4usize, 8usize);
+    let barrier = Barrier::new(workers);
+    let start = Instant::now();
+    std::thread::scope(|s| {
+        for w in 0..workers {
+            let (h, oids, barrier) = (&h, &oids, &barrier);
+            s.spawn(move || {
+                let session = h.session();
+                barrier.wait();
+                for j in 0..steps {
+                    let tile = (w * oids.len() + j / oids.len()) as i64;
+                    session
+                        .fetch_region(oids[j % oids.len()], &tile_region(tile))
+                        .unwrap();
+                }
+            });
+        }
+    });
+    assert!(
+        start.elapsed() < Duration::from_secs(10),
+        "{:?}",
+        start.elapsed()
+    );
+    let m = h.metrics();
+    assert_eq!(m.counter("sched.batches").get(), steps as u64);
+    assert_eq!(
+        m.counter("heaven.st_tape_fetches").get(),
+        (workers * steps) as u64
+    );
+}
+
+#[test]
+fn stepping_down_wakes_the_session_queued_behind_the_drain() {
+    // Session A drains while the test holds the store, so its staging
+    // stalls, and session B queues behind that drain. A then stays open
+    // and idle: no arrival and no closing session is left to wake B, so
+    // B must be woken by A's drain itself. The sleeps only order the two
+    // arrivals; should they fail to, the sessions swap roles and the
+    // assertions still hold.
+    let (h, oids) = build_multi(1, 2, true);
+    let mut h = h.into_concurrent();
+    h.set_batch_window(Duration::from_millis(50));
+    let (h, oids) = (&h, &oids);
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    let store = h.store();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            let a = h.session();
+            a.fetch_region(oids[0], &tile_region(0)).unwrap();
+            let _ = done_rx.recv_timeout(Duration::from_secs(20));
+        });
+        std::thread::sleep(Duration::from_millis(300));
+        let b = s.spawn(move || {
+            let b = h.session();
+            let start = Instant::now();
+            b.fetch_region(oids[0], &tile_region(1)).unwrap();
+            start.elapsed()
+        });
+        std::thread::sleep(Duration::from_millis(300));
+        drop(store);
+        let waited = b.join().unwrap();
+        done_tx.send(()).unwrap();
+        assert!(waited < Duration::from_secs(10), "{waited:?}");
+    });
+    assert_eq!(h.metrics().counter("sched.batches").get(), 2);
+}
+
+#[test]
+fn drainer_churn_serves_every_session_the_owners_bytes() {
+    // Eight sessions and no batching window: each drainer stages what is
+    // queued at once, so the seat changes hands all the time while peers
+    // coalesce onto fetches in flight and queue behind drains. Seeded,
+    // overlapping multi-super-tile regions, several rounds from cold
+    // caches: every answer must equal the single owner's bytes.
+    let (mut truth, oids) = build_multi(2, 2, true);
+    let (workers, rounds, queries) = (8usize, 4usize, 4usize);
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut span = || {
+        let (a, b) = (rng.gen_range(0..GRID), rng.gen_range(0..GRID));
+        (a.min(b), a.max(b))
+    };
+    let plan: Vec<Vec<Vec<(u64, Minterval)>>> = (0..rounds)
+        .map(|_| {
+            (0..workers)
+                .map(|_| {
+                    (0..queries)
+                        .map(|q| {
+                            let ((x0, x1), (y0, y1)) = (span(), span());
+                            let region = tiles_region(y0 * GRID + x0, y1 * GRID + x1);
+                            (oids[q % oids.len()], region)
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    let (h, _) = build_multi(2, 2, true);
+    let mut h = h.into_concurrent();
+    h.set_batch_window(Duration::ZERO);
+    let h = h;
+    for round in &plan {
+        h.clear_caches();
+        let barrier = Barrier::new(workers);
+        let got: Vec<Vec<MDArray>> = std::thread::scope(|s| {
+            let handles: Vec<_> = round
+                .iter()
+                .map(|queries| {
+                    let (h, barrier) = (&h, &barrier);
+                    s.spawn(move || {
+                        let session = h.session();
+                        barrier.wait();
+                        queries
+                            .iter()
+                            .map(|(oid, region)| session.fetch_region(*oid, region).unwrap())
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|j| j.join().unwrap()).collect()
+        });
+        for (answers, queries) in got.iter().zip(round) {
+            for (answer, (oid, region)) in answers.iter().zip(queries) {
+                let expected = truth.fetch_region_hierarchical(*oid, region).unwrap();
+                assert_eq!(*answer, expected, "object {oid}, region {region}");
+            }
+        }
+    }
 }
 
 /// One object of GRID x GRID single-tile super-tiles whose archive spans

@@ -7,13 +7,13 @@
 use heaven_array::{CellType, LinearOrder, MDArray, Minterval, Point, Tile, Tiling};
 use heaven_arraydb::ArrayDb;
 use heaven_core::{
-    count_exchanges, decode_all, encode_supertile, estar_partition, schedule, star_partition,
+    decode_all, encode_supertile, estar_partition, fetch_order, schedule, star_partition,
     AccessPattern, EvictionPolicy, ExportMode, FetchRequest, Heaven, HeavenConfig, HeavenError,
     SuperTileCache, TileCache, TileInfo,
 };
 use heaven_hsm::BlockAddress;
 use heaven_rdbms::Database;
-use heaven_tape::{DeviceProfile, DiskProfile, SimClock, TapeLibrary};
+use heaven_tape::{DeviceProfile, DiskProfile, MediumId, SimClock, TapeLibrary, WritePayload};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -36,6 +36,35 @@ fn tile_infos(gx: u64, gy: u64, bytes: u64) -> (Vec<TileInfo>, Vec<u64>) {
         })
         .collect();
     (tiles, shape)
+}
+
+/// Mounts a real tape library makes staging the order `stage` picks
+/// (given the media left mounted) on `drives` drives, after one phantom
+/// write per medium that covers its requests; also returns those mounted
+/// media.
+fn mounts(
+    reqs: &[FetchRequest],
+    drives: usize,
+    stage: impl Fn(&[MediumId]) -> Vec<FetchRequest>,
+) -> (u64, Vec<MediumId>) {
+    let mut lib = TapeLibrary::new(DeviceProfile::ibm3590(), drives, SimClock::new());
+    let media = reqs.iter().map(|r| r.addr.medium).max().unwrap_or(0);
+    for m in 0..=media {
+        assert_eq!(lib.add_medium(), m);
+        let len = reqs
+            .iter()
+            .filter(|r| r.addr.medium == m)
+            .map(|r| r.addr.offset + r.addr.len)
+            .max()
+            .unwrap_or(1);
+        lib.write(m, WritePayload::Phantom(len)).unwrap();
+    }
+    let mounted = lib.mounted_media();
+    let before = lib.stats().mounts;
+    for r in stage(&mounted) {
+        lib.read(r.addr.medium, r.addr.offset, r.addr.len).unwrap();
+    }
+    (lib.stats().mounts - before, mounted)
 }
 
 /// One entry of [`RefCache`].
@@ -267,14 +296,15 @@ proptest! {
                 addr: BlockAddress { medium, offset, len: 10 },
             })
             .collect();
-        let scheduled = schedule(&requests, &[]);
-        let ex_naive = count_exchanges(&requests, drives, &[]);
-        let ex_sched = count_exchanges(&scheduled, drives, &[]);
+        let (ex_naive, _) = mounts(&requests, drives, |_| requests.clone());
+        let (ex_sched, mounted) =
+            mounts(&requests, drives, |mounted| fetch_order(&requests, true, mounted));
         prop_assert!(ex_sched <= ex_naive);
-        // scheduled exchanges = number of distinct media (single visit each)
+        // scheduled: one mount per requested medium not already mounted
         let mut media: Vec<u64> = requests.iter().map(|r| r.addr.medium).collect();
         media.sort_unstable();
         media.dedup();
+        media.retain(|m| !mounted.contains(m));
         prop_assert_eq!(ex_sched, media.len() as u64);
     }
 

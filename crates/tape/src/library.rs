@@ -742,30 +742,6 @@ impl TapeLibrary {
         self.clock = shared;
         (r, fork.now_s() - start)
     }
-
-    // -- estimation (no side effects) --------------------------------------
-
-    /// Estimated cost of reading `(offset, len)` from `id` given the current
-    /// drive state: mount cost if unmounted, locate from the drive head (or
-    /// 0 after mount), plus transfer.
-    pub fn estimate_read_s(&self, id: MediumId, offset: u64, len: u64) -> f64 {
-        let (mount, head) = match self.mounted_in(id) {
-            Some(di) => (0.0, self.drives[di].head_pos),
-            None => {
-                // May also need to evict: approximate with full mount cost.
-                (self.profile.mount_time_s(), 0)
-            }
-        };
-        mount + self.profile.locate_time_s(head, offset) + self.profile.transfer_time_s(len)
-    }
-
-    /// Estimated cost of appending `len` bytes to `id`.
-    pub fn estimate_write_s(&self, id: MediumId, len: u64) -> f64 {
-        let write_pos = self.media.get(&id).map(|m| m.used()).unwrap_or(0);
-        self.estimate_read_s(id, write_pos, 0)
-            + self.profile.transfer_time_s(len)
-            + self.profile.write_sync_s
-    }
 }
 
 #[cfg(test)]
@@ -872,24 +848,6 @@ mod tests {
             l.write(m, WritePayload::Phantom(200)),
             Err(TapeError::MediumFull { .. })
         ));
-    }
-
-    #[test]
-    fn estimates_match_actuals_for_cold_read() {
-        let mut l = lib(1);
-        let m = l.add_medium();
-        l.write(m, WritePayload::Phantom(10 << 20)).unwrap();
-        // Force unmount by mounting another medium.
-        let m2 = l.add_medium();
-        l.write(m2, WritePayload::Phantom(10)).unwrap();
-        let est = l.estimate_read_s(m, 0, 10 << 20);
-        let before = l.clock().now_s();
-        l.read(m, 0, 10 << 20).unwrap();
-        let actual = l.clock().now_s() - before;
-        // actual includes the rewind of the evicted medium; estimate is a
-        // lower bound within one rewind.
-        assert!(actual >= est - 1e-4, "actual {actual} < est {est}");
-        assert!(actual - est < l.profile().rewind_s + 1e-4);
     }
 
     #[test]

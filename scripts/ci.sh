@@ -110,6 +110,17 @@ echo "==> concurrency stress + invariants (release)"
 # The sharded-cache stress and batching invariants are timing-sensitive;
 # run them optimized, as the bench does.
 cargo test -q --release -p heaven-core --test concurrency
+# The batcher has no timed backstop: a lost wake-up shows as a hang, not
+# as a stall. Rerun the timing-sensitive binaries under a timeout.
+for run in $(seq 10); do
+  for target in heaven-core:concurrency heaven-prof:causal_chaos; do
+    if ! out=$(timeout 300 cargo test -q --release -p "${target%%:*}" --test "${target#*:}" 2>&1); then
+      echo "$out"
+      echo "${target#*:} failed or hung on rerun $run of 10"
+      exit 1
+    fi
+  done
+done
 
 echo "==> concurrency bench smoke"
 tmpjson="$(mktemp)"
